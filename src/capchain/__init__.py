@@ -21,14 +21,10 @@ from .chain import (
     WeightedMarkovChain,
     chain_from_json_dict,
     chain_to_json_dict,
-    conditional_record,
     dumps_chain,
     loads_chain,
-    marginal_capital,
-    marginal_rounds,
     run_absorption,
     umbra_step,
-    validate_chain,
 )
 from .game import (
     EMPTY,
@@ -38,12 +34,10 @@ from .game import (
     GameSpec,
     GameSpecError,
     builtin_game,
-    chick_gain,
     compile_game,
-    next_location,
     parse_game_spec,
 )
-from .poly import CappedPolynomial, rat
+from .poly import CappedPolynomial
 from .simulator import SimulationReport, SplitMix64, mix64, play_once, simulate
 from .stats import (
     SummaryStats,
@@ -79,27 +73,20 @@ __all__ = [
     "central_moments",
     "chain_from_json_dict",
     "chain_to_json_dict",
-    "chick_gain",
     "compile_game",
-    "conditional_record",
     "distribution_moments",
     "dumps_chain",
     "format_fraction",
     "format_fraction_scientific",
     "loads_chain",
-    "marginal_capital",
-    "marginal_rounds",
     "mix64",
-    "next_location",
     "parse_game_spec",
     "play_once",
-    "rat",
     "render_stats",
     "run_absorption",
     "simulate",
     "stats_json_dict",
     "summarize",
     "umbra_step",
-    "validate_chain",
     "__version__",
 ]

@@ -94,6 +94,8 @@ class WeightedMarkovChain:
         lo, hi = self.support
         if lo > hi:
             violations.append(f"inverted capital support [{lo}, {hi}]")
+        if not self.transient:
+            violations.append("chain has no transient state")
         if not self.absorbing:
             violations.append("chain has no absorbing state")
 
@@ -118,11 +120,6 @@ class WeightedMarkovChain:
                     f"state {state!r}: outgoing probabilities sum to {total}, expected 1"
                 )
         return violations
-
-
-def validate_chain(chain: WeightedMarkovChain) -> list[str]:
-    """Functional spelling of WeightedMarkovChain.validate()."""
-    return chain.validate()
 
 
 def umbra_step(
@@ -155,8 +152,8 @@ def umbra_step(
             cells = landed.get(edge.dst)
             if cells is None:
                 cells = landed[edge.dst] = [Fraction(0)] * width
-            # Fused poly.scale(edge.prob).shift_clamped(edge.weight), accumulated
-            # in place; this inner loop is the engine's hot path.
+            # Scale by edge.prob and shift by edge.weight, clamped into the window,
+            # in place; this inner loop is the engine's hot path and only scatter.
             prob, weight = edge.prob, edge.weight
             for index, coeff in enumerate(poly.coeffs):
                 if coeff:
@@ -277,23 +274,6 @@ def run_absorption(
         epsilon=epsilon,
         support=chain.support,
     )
-
-
-def conditional_record(record: AbsorptionRecord) -> AbsorptionRecord:
-    """Functional spelling of AbsorptionRecord.conditional()."""
-    return record.conditional()
-
-
-def marginal_capital(
-    record: AbsorptionRecord, states: Union[str, Iterable[str], None] = None
-) -> CappedPolynomial:
-    """Functional spelling of AbsorptionRecord.marginal_capital()."""
-    return record.marginal_capital(states)
-
-
-def marginal_rounds(record: AbsorptionRecord) -> dict[int, Fraction]:
-    """Functional spelling of AbsorptionRecord.marginal_rounds()."""
-    return record.marginal_rounds()
 
 
 def chain_to_json_dict(chain: WeightedMarkovChain) -> dict:

@@ -35,8 +35,6 @@ from .game import GameSpec, GameSpecError, builtin_game, compile_game, parse_gam
 from .simulator import SimulationReport, simulate
 from .stats import (
     SummaryStats,
-    central_moments,
-    distribution_moments,
     format_fraction_scientific,
     render_stats,
     stats_json_dict,
@@ -86,11 +84,11 @@ def _load_document(config: RunConfig) -> Union[GameSpec, dict]:
         return builtin_game(config.builtin)
     try:
         text = Path(config.input_path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {config.input_path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
         raise UsageError(f"{config.input_path}: invalid JSON: {exc}") from None
     if isinstance(data, dict) and "board" in data:
         return parse_game_spec(data)
@@ -177,26 +175,20 @@ def cmd_analyze(config: RunConfig) -> int:
             _emit("".join(line + "\n" for line in lines), config)
         return EXIT_OK
     stats = summarize(record, target.win_capital)
-    conditional = record.conditional()
     if config.format == "json":
         payload = stats_json_dict(stats, config.digits)
         if config.full_record:
-            payload["record"] = _record_entries(conditional)
+            payload["record"] = _record_entries(record.conditional())
         _emit(json.dumps(payload, indent=2) + "\n", config)
     else:
         body = render_stats(stats, config.digits, "text")
         if config.full_record:
             lines = ["", "absorbed polynomials (conditional on absorption):"]
-            for entry in _record_entries(conditional):
+            for (round_index, state), poly in sorted(record.conditional().absorbed.items()):
                 poly_text = " + ".join(
-                    f"{coeff}*t^{exponent}"
-                    for exponent, coeff in sorted(
-                        (int(e), c) for e, c in entry["coefficients"].items()
-                    )
+                    f"{coeff}*t^{exponent}" for exponent, coeff in poly.terms()
                 )
-                lines.append(
-                    f"round {entry['round']:>3}  state {entry['state']:>4}  {poly_text}"
-                )
+                lines.append(f"round {round_index:>3}  state {state:>4}  {poly_text}")
             body += "".join(line + "\n" for line in lines)
         _emit(body, config)
     return EXIT_OK
@@ -243,23 +235,18 @@ class ComparisonRow:
 
 
 def compare_statistics(
-    stats: SummaryStats, record: AbsorptionRecord, report: SimulationReport
+    stats: SummaryStats, report: SimulationReport
 ) -> tuple[list[ComparisonRow], bool]:
     """Check each empirical statistic against its exact value at 4 standard errors.
 
-    Standard errors come from the exact distribution (for example
-    sqrt(p(1-p)/n) for the win rate and sqrt((m4 - var^2)/n) for a
-    variance), so the check needs no confidence machinery on the
-    empirical side.
+    Standard errors come from the exact moments `summarize` put in
+    `stats` (for example sqrt(p(1-p)/n) for the win rate and
+    sqrt((m4 - var^2)/n) for a variance, m4 being the exact fourth
+    central moment), so the check needs no confidence machinery on the
+    empirical side and recomputes nothing from the record.
     """
     n = report.completed
-    conditional = record.conditional()
-    raw_capital = [conditional.marginal_capital().power_moment(r) for r in range(5)]
-    m2_c, _, m4_c = central_moments(raw_capital)
-    raw_rounds = distribution_moments(conditional.marginal_rounds().items(), upto=4)
-    m2_r, _, m4_r = central_moments(raw_rounds)
-
-    p = stats.win_probability
+    p, m2_c, m2_r = stats.win_probability, stats.chick_variance, stats.rounds_variance
     targets: list[tuple[str, Fraction, Optional[float], Fraction]] = [
         (
             "win rate",
@@ -268,9 +255,9 @@ def compare_statistics(
             p * (1 - p),
         ),
         ("chick mean", stats.chick_mean, report.chick_mean, m2_c),
-        ("chick variance", stats.chick_variance, report.chick_variance, m4_c - m2_c**2),
+        ("chick variance", m2_c, report.chick_variance, stats.chick_m4 - m2_c**2),
         ("rounds mean", stats.rounds_mean, report.rounds_mean, m2_r),
-        ("rounds variance", stats.rounds_variance, report.rounds_variance, m4_r - m2_r**2),
+        ("rounds variance", m2_r, report.rounds_variance, stats.rounds_m4 - m2_r**2),
     ]
     rows: list[ComparisonRow] = []
     for name, exact, empirical, sampling_variance in targets:
@@ -314,9 +301,11 @@ def cmd_compare(config: RunConfig) -> int:
     spec = _require_game(config)
     chain = compile_game(spec)
     record = run_absorption(chain, "1", config.rounds)
+    if record.epsilon == 1:
+        raise UsageError("no mass was absorbed; cannot condition on absorption")
     stats = summarize(record, spec.win_threshold)
     report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
-    rows, all_pass = compare_statistics(stats, record, report)
+    rows, all_pass = compare_statistics(stats, report)
     epsilon_text = format_fraction_scientific(stats.epsilon, config.digits)
     if config.format == "json":
         payload = {
@@ -388,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub: argparse.ArgumentParser, with_horizon: bool = True) -> None:
-        sub.add_argument("input", nargs="?", help="game or chain JSON file")
+        sub.add_argument(
+            "input_path", nargs="?", metavar="input", help="game or chain JSON file"
+        )
         sub.add_argument(
             "--builtin",
             choices=["simplified", "full"],
@@ -399,19 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
                 "-M",
                 "--rounds",
                 type=_positive_int,
-                default=60,
-                help="analysis horizon in rounds (default 60)",
+                default=RunConfig.rounds,
+                help="analysis horizon in rounds (default %(default)s)",
             )
         sub.add_argument(
-            "--format", choices=["text", "json"], default="text", help="output format"
+            "--format",
+            choices=["text", "json"],
+            default=RunConfig.format,
+            help="output format",
         )
         sub.add_argument("--output", help="write the report to this path instead of stdout")
 
+    digits = dict(type=_positive_int, default=RunConfig.digits, help="rendered decimal places")
     analyze = subparsers.add_parser("analyze", help="exact absorption analysis")
     add_common(analyze)
-    analyze.add_argument(
-        "--digits", type=_positive_int, default=13, help="rendered decimal places"
-    )
+    analyze.add_argument("--digits", **digits)
     analyze.add_argument(
         "--full-record",
         action="store_true",
@@ -421,15 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subparsers.add_parser("simulate", help="seeded Monte Carlo play")
     add_common(sim)
     sim.add_argument("--trials", type=_positive_int, required=True)
-    sim.add_argument("--seed", type=int, default=1)
+    sim.add_argument("--seed", type=int, default=RunConfig.seed)
 
     compare = subparsers.add_parser("compare", help="exact vs empirical at 4 standard errors")
     add_common(compare)
     compare.add_argument("--trials", type=_positive_int, required=True)
-    compare.add_argument("--seed", type=int, default=1)
-    compare.add_argument(
-        "--digits", type=_positive_int, default=13, help="rendered decimal places"
-    )
+    compare.add_argument("--seed", type=int, default=RunConfig.seed)
+    compare.add_argument("--digits", **digits)
 
     dump = subparsers.add_parser("dump-chain", help="print the compiled chain JSON")
     add_common(dump, with_horizon=False)
@@ -441,25 +432,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        builtin=args.builtin,
-        rounds=getattr(args, "rounds", 60),
-        trials=getattr(args, "trials", None),
-        seed=getattr(args, "seed", 1),
-        digits=getattr(args, "digits", 13),
-        format=args.format,
-        full_record=getattr(args, "full_record", False),
-        output=args.output,
-    )
+    # Options a subcommand lacks keep their RunConfig defaults.
+    config = RunConfig(**vars(args))
     try:
         return _COMMANDS[config.command](config)
     except (GameSpecError, InvalidChainError) as exc:
         for line in exc.diagnostics if isinstance(exc, GameSpecError) else exc.violations:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ChainFormatError, ValueError) as exc:
+    except (UsageError, ChainFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -128,16 +128,6 @@ class GameSpec:
         return dst - src + (1 if dst in self.blue else 0)
 
 
-def next_location(spec: GameSpec, square: int, animal: str) -> int:
-    """Functional spelling of GameSpec.next_location()."""
-    return spec.next_location(square, animal)
-
-
-def chick_gain(spec: GameSpec, src: int, dst: int) -> int:
-    """Functional spelling of GameSpec.chick_gain()."""
-    return spec.chick_gain(src, dst)
-
-
 def parse_game_spec(source: Union[str, Mapping]) -> GameSpec:
     """Parse and validate a game document (JSON text or an equivalent mapping).
 
@@ -232,11 +222,7 @@ def builtin_game(name: str) -> GameSpec:
     return parse_game_spec(text)
 
 
-def compile_game(
-    spec: GameSpec,
-    merge_parallel: bool = True,
-    prune_unreachable: bool = False,
-) -> WeightedMarkovChain:
+def compile_game(spec: GameSpec, merge_parallel: bool = True) -> WeightedMarkovChain:
     """Compile a game into a weighted chain over its non-empty squares.
 
     States are square numbers as strings: the start plus every labeled
@@ -254,17 +240,6 @@ def compile_game(
     squares = [1] + [
         i for i in range(2, terminal) if spec.label(i) != EMPTY
     ]
-    if prune_unreachable:
-        reachable = {1}
-        frontier = [1]
-        while frontier:
-            here = frontier.pop()
-            for animal in spec.animals:
-                target = spec.next_location(here, animal)
-                if target != terminal and target not in reachable:
-                    reachable.add(target)
-                    frontier.append(target)
-        squares = [i for i in squares if i in reachable]
 
     prob = Fraction(1, len(spec.animals) + 1)
     edges: list[Edge] = []

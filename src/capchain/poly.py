@@ -22,11 +22,6 @@ from typing import Iterator, Union
 RationalLike = Union[Fraction, int, str]
 
 
-def rat(numerator: int, denominator: int = 1) -> Fraction:
-    """Exact rational number, reduced to lowest terms with the sign on top."""
-    return Fraction(numerator, denominator)
-
-
 @dataclass(frozen=True)
 class CappedPolynomial:
     """Dense polynomial in t with Fraction coefficients on a fixed exponent window."""
@@ -113,38 +108,9 @@ class CappedPolynomial:
             self.support_min, self.support_max, tuple(c * f for c in self.coeffs)
         )
 
-    def shift_clamped(self, delta: int) -> "CappedPolynomial":
-        """Shift every exponent by delta, clamping at the window boundaries.
-
-        Mass that would land below support_min accumulates at support_min,
-        and mass that would land above support_max accumulates at
-        support_max, so the total mass is preserved for every delta.
-        """
-        if delta == 0 or self.is_zero:
-            return self
-        top = self.width - 1
-        cells = [Fraction(0)] * self.width
-        for index, coeff in enumerate(self.coeffs):
-            if coeff:
-                cells[min(max(index + delta, 0), top)] += coeff
-        return CappedPolynomial(self.support_min, self.support_max, tuple(cells))
-
     def mass(self) -> Fraction:
         """Exact sum of all coefficients, i.e. the value at t = 1."""
         return sum(self.coeffs, Fraction(0))
-
-    def power_moment(self, order: int) -> Fraction:
-        """Exact power sum over the window: sum of exponent**order * coefficient.
-
-        Order 0 reproduces mass() (0**0 counts as 1), order 1 is the
-        unnormalised mean, and so on.
-        """
-        if order < 0:
-            raise ValueError(f"moment order must be >= 0, got {order}")
-        return sum(
-            ((exponent**order) * coeff for exponent, coeff in self.terms()),
-            Fraction(0),
-        )
 
     def __str__(self) -> str:
         parts = [

@@ -29,18 +29,22 @@ class SummaryStats:
 
     Rational statistics are exact Fractions.  The root-bearing ones
     (skewness, kurtosis, correlation) are Decimals, or None when the
-    relevant variance vanishes.  `epsilon` is the unconditioned
-    leftover mass of the run the statistics were extracted from.
+    relevant variance vanishes.  `chick_m4` and `rounds_m4` are the exact
+    fourth central moments, which set the sampling spread of the two
+    variances.  `epsilon` is the unconditioned leftover mass of the run
+    the statistics were extracted from.
     """
 
     win_probability: Fraction
     chick_mean: Fraction
     chick_variance: Fraction
+    chick_m4: Fraction
     chick_skewness: Optional[Decimal]
     chick_kurtosis_raw: Optional[Decimal]
     chick_kurtosis_excess: Optional[Decimal]
     rounds_mean: Fraction
     rounds_variance: Fraction
+    rounds_m4: Fraction
     covariance: Fraction
     correlation: Optional[Decimal]
     epsilon: Fraction
@@ -77,29 +81,34 @@ def _to_decimal(value: Fraction) -> Decimal:
 
 
 def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
-    """Extract all summary statistics, conditioning on absorption first.
+    """Extract all summary statistics, conditioned on absorption.
 
-    `win_capital` is the capital level that counts as a win (the upper
-    clamp for a compiled game).  Raises ValueError when the record
-    absorbed no mass at all, because conditioning is then undefined.
+    One pass over the unconditioned record builds the capital and round
+    marginals and the round x capital cross sum; each raw moment is then
+    divided by 1 - epsilon once.  `win_capital` is the capital level
+    that counts as a win (the upper clamp for a compiled game).  Raises
+    ValueError when the record absorbed no mass at all, because
+    conditioning is then undefined.
     """
-    cond = record.conditional()
-    capital = cond.marginal_capital()
-    raw_capital = [capital.power_moment(order) for order in range(5)]
-    rounds = cond.marginal_rounds()
-    raw_rounds = distribution_moments(rounds.items(), upto=2)
-
+    if record.epsilon == 1:
+        raise ValueError("no mass was absorbed; cannot condition on absorption")
+    capital: dict[int, Fraction] = {}
+    rounds: dict[int, Fraction] = {}
+    cross = Fraction(0)
+    for (round_index, _), poly in record.absorbed.items():
+        mass = first = Fraction(0)
+        for exponent, coeff in poly.terms():
+            capital[exponent] = capital.get(exponent, 0) + coeff
+            mass += coeff
+            first += exponent * coeff
+        rounds[round_index] = rounds.get(round_index, 0) + mass
+        cross += round_index * first
+    norm = 1 - record.epsilon
+    raw_capital = [m / norm for m in distribution_moments(capital.items())]
+    raw_rounds = [m / norm for m in distribution_moments(rounds.items())]
     m2_c, m3_c, m4_c = central_moments(raw_capital)
-    rounds_mean = raw_rounds[1]
-    rounds_variance = raw_rounds[2] - rounds_mean**2
-    cross = sum(
-        (
-            round_index * poly.power_moment(1)
-            for (round_index, _), poly in cond.absorbed.items()
-        ),
-        Fraction(0),
-    )
-    covariance = cross - rounds_mean * raw_capital[1]
+    m2_r, _, m4_r = central_moments(raw_rounds)
+    covariance = cross / norm - raw_rounds[1] * raw_capital[1]
 
     with localcontext() as ctx:
         ctx.prec = DECIMAL_PRECISION
@@ -109,20 +118,20 @@ def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
             skewness = _to_decimal(m3_c) / (sigma2 * sigma2.sqrt())
             kurtosis_raw = _to_decimal(m4_c) / _to_decimal(m2_c**2)
             kurtosis_excess = kurtosis_raw - 3
-        if m2_c > 0 and rounds_variance > 0:
-            correlation = _to_decimal(covariance) / _to_decimal(
-                m2_c * rounds_variance
-            ).sqrt()
+        if m2_c > 0 and m2_r > 0:
+            correlation = _to_decimal(covariance) / _to_decimal(m2_c * m2_r).sqrt()
 
     return SummaryStats(
-        win_probability=capital.coefficient(win_capital),
+        win_probability=capital.get(win_capital, Fraction(0)) / norm,
         chick_mean=raw_capital[1],
         chick_variance=m2_c,
+        chick_m4=m4_c,
         chick_skewness=skewness,
         chick_kurtosis_raw=kurtosis_raw,
         chick_kurtosis_excess=kurtosis_excess,
-        rounds_mean=rounds_mean,
-        rounds_variance=rounds_variance,
+        rounds_mean=raw_rounds[1],
+        rounds_variance=m2_r,
+        rounds_m4=m4_r,
         covariance=covariance,
         correlation=correlation,
         epsilon=record.epsilon,

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from capchain import CappedPolynomial, Edge, WeightedMarkovChain
+from capchain import CappedPolynomial, Edge, WeightedMarkovChain, umbra_step
 
 
 def unit_fractions(max_denominator: int = 8):
@@ -99,3 +99,16 @@ def record_as_dicts(record):
     absorbed = {key: dict(poly.terms()) for key, poly in record.absorbed.items()}
     residual = {state: dict(poly.terms()) for state, poly in record.residual.items()}
     return absorbed, residual, record.epsilon
+
+
+def clamped_shift(poly: CappedPolynomial, delta: int) -> CappedPolynomial:
+    """Shift every exponent of `poly` by `delta` with boundary clamping.
+
+    Runs the engine's own scatter: one umbra_step over a single
+    certain edge of weight `delta` into an absorbing state.
+    """
+    lo, hi = poly.support
+    edge = Edge("from", "to", Fraction(1), delta)
+    chain = WeightedMarkovChain(("from",), ("to",), (edge,), (lo, hi))
+    _, absorbed = umbra_step(chain, {"from": poly})
+    return absorbed.get("to", CappedPolynomial.zero(lo, hi))

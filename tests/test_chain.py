@@ -101,6 +101,11 @@ def test_validate_flags_duplicate_ids_and_inverted_support():
     assert any("inverted" in violation for violation in violations)
 
 
+def test_validate_flags_a_chain_without_transient_states():
+    chain = WeightedMarkovChain(transient=(), absorbing=("a0",), edges=(), support=(0, 4))
+    assert chain.validate() == ["chain has no transient state"]
+
+
 # umbra_step worked examples on the simplified board
 
 

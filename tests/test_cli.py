@@ -13,6 +13,7 @@ from capchain import (
     simulate,
     summarize,
 )
+from capchain import cli
 from capchain.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -180,6 +181,15 @@ def test_analyze_invalid_chain_reports_violations(tmp_path, capsys):
     assert "sum to 1/3" in err
 
 
+def test_analyze_chain_without_transient_states_is_a_usage_error(tmp_path, capsys):
+    doc = {"transient": [], "absorbing": ["z"], "support": {"min": 0, "max": 2}, "edges": []}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(dict(doc, start="z")))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_USAGE
+    assert "error: chain has no transient state" in err
+
+
 # dump-chain and chain round trips
 
 
@@ -312,11 +322,11 @@ def test_compare_statistics_rejects_a_shifted_mean():
     record = run_absorption(chain, "1", 60)
     stats = summarize(record, spec.win_threshold)
     report = simulate(spec, 20000, seed=3)
-    rows, all_pass = compare_statistics(stats, record, report)
+    rows, all_pass = compare_statistics(stats, report)
     assert all_pass
 
     doctored = dataclasses.replace(report, chick_mean=report.chick_mean + 1.0)
-    rows, all_pass = compare_statistics(stats, record, doctored)
+    rows, all_pass = compare_statistics(stats, doctored)
     assert not all_pass
     failures = {row.name for row in rows if not row.passed}
     assert failures == {"chick mean"}
@@ -405,6 +415,18 @@ def test_invalid_json_file(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{}", "cannot read"), (b'{"edges": ' + b"1" * 5000 + b"}", "invalid JSON")],
+)
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys, content, message):
+    path = tmp_path / "odd.json"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_USAGE
+    assert message in err
+
+
 def test_document_without_board_or_edges(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"stuff": 1}))
@@ -419,6 +441,17 @@ def test_bad_game_spec_lists_diagnostics(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == EXIT_USAGE
     assert "unknown animal tag" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # Only the package's own input errors map to exit 2; a ValueError
+    # from inside the program is a bug and must surface as one.
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "summarize", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["analyze", "--builtin", "simplified"])
 
 
 def test_unknown_subcommand_exits_with_usage(capsys):

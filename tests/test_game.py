@@ -9,9 +9,7 @@ from capchain import (
     GameSpec,
     GameSpecError,
     builtin_game,
-    chick_gain,
     compile_game,
-    next_location,
     parse_game_spec,
     run_absorption,
 )
@@ -122,26 +120,26 @@ def test_unknown_builtin_is_an_error():
 
 
 def test_next_location_examples(simplified_game):
-    assert next_location(simplified_game, 1, "S") == 3
-    assert next_location(simplified_game, 4, "S") == 8
-    assert next_location(simplified_game, 8, "C") == 9
-    assert next_location(simplified_game, 8, "S") == 9
+    assert simplified_game.next_location(1, "S") == 3
+    assert simplified_game.next_location(4, "S") == 8
+    assert simplified_game.next_location(8, "C") == 9
+    assert simplified_game.next_location(8, "S") == 9
 
 
 def test_next_location_from_the_terminal_is_an_error(simplified_game):
     with pytest.raises(ValueError, match="terminal"):
-        next_location(simplified_game, 9, "S")
+        simplified_game.next_location(9, "S")
 
 
 def test_next_location_unknown_animal_is_an_error(simplified_game):
     with pytest.raises(ValueError, match="unknown"):
-        next_location(simplified_game, 1, "F")
+        simplified_game.next_location(1, "F")
 
 
 def test_chick_gain_examples(simplified_game):
-    assert chick_gain(simplified_game, 1, 3) == 3
-    assert chick_gain(simplified_game, 4, 6) == 3
-    assert chick_gain(simplified_game, 6, 8) == 2
+    assert simplified_game.chick_gain(1, 3) == 3
+    assert simplified_game.chick_gain(4, 6) == 3
+    assert simplified_game.chick_gain(6, 8) == 2
 
 
 @pytest.mark.parametrize("name", ["simplified", "full"])
@@ -222,14 +220,6 @@ def test_merging_parallel_edges_does_not_change_absorption(simplified_game):
     left = run_absorption(merged, "1", 10)
     right = run_absorption(unmerged, "1", 10)
     assert left == right
-
-
-@pytest.mark.parametrize("name", ["simplified", "full"])
-def test_pruning_is_inert_on_the_builtin_boards(name):
-    # Every labeled square is reachable (the k-th occurrence of a tag is
-    # reached from the (k-1)-th), so pruning must remove nothing.
-    spec = builtin_game(name)
-    assert compile_game(spec, prune_unreachable=True) == compile_game(spec)
 
 
 def test_win_capital_is_reachable_in_both_games(full_record_60, simplified_chain):

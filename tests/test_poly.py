@@ -1,34 +1,13 @@
-"""Capped-polynomial arithmetic: exactness, clamping, moments."""
+"""Capped-polynomial arithmetic: exactness, and clamping through the scatter."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from capchain import CappedPolynomial, rat
+from capchain import CappedPolynomial
 
-from _testlib import capped_polynomials, signed_fractions
-
-
-def test_rat_reduces_to_lowest_terms():
-    assert rat(2, 6) == Fraction(1, 3)
-    assert rat(2, 6).numerator == 1
-    assert rat(2, 6).denominator == 3
-
-
-def test_rat_spinner_thirds_sum_to_one():
-    assert rat(1, 3) + rat(1, 3) + rat(1, 3) == 1
-
-
-def test_rat_sign_lives_on_the_numerator():
-    assert rat(-1, -4) == Fraction(1, 4)
-    assert rat(1, -4) == Fraction(-1, 4)
-    assert rat(1, -4).denominator == 4
-
-
-def test_rat_zero_denominator_is_an_error():
-    with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
+from _testlib import capped_polynomials, clamped_shift, signed_fractions
 
 
 def test_zero_has_all_zero_coefficients():
@@ -104,25 +83,25 @@ def test_scale_by_zero_gives_the_zero_polynomial():
 
 def test_shift_fox_with_no_chicks_stays_put():
     poly = CappedPolynomial.monomial(0, 1, 0, 8)
-    assert poly.shift_clamped(-1) == poly
+    assert clamped_shift(poly, -1) == poly
 
 
 def test_shift_past_the_cap_piles_up_at_the_cap():
     poly = CappedPolynomial.monomial(7, 1, 0, 8)
-    assert poly.shift_clamped(4) == CappedPolynomial.monomial(8, 1, 0, 8)
+    assert clamped_shift(poly, 4) == CappedPolynomial.monomial(8, 1, 0, 8)
 
 
 def test_interior_shift_is_a_plain_shift():
     half = Fraction(1, 2)
     poly = CappedPolynomial.monomial(2, half, 0, 8) + CappedPolynomial.monomial(5, half, 0, 8)
-    shifted = poly.shift_clamped(1)
+    shifted = clamped_shift(poly, 1)
     assert dict(shifted.terms()) == {3: half, 6: half}
 
 
 def test_shift_merges_mass_at_the_floor():
     half = Fraction(1, 2)
     poly = CappedPolynomial.monomial(0, half, 0, 8) + CappedPolynomial.monomial(1, half, 0, 8)
-    assert dict(poly.shift_clamped(-2).terms()) == {0: Fraction(1)}
+    assert dict(clamped_shift(poly, -2).terms()) == {0: Fraction(1)}
 
 
 def test_mass_of_zero_is_zero():
@@ -139,22 +118,6 @@ def test_mass_of_first_round_spread_is_one():
     assert poly.mass() == 1
 
 
-def test_power_moment_of_a_monomial_is_its_exponent():
-    assert CappedPolynomial.monomial(5, 1, 0, 8).power_moment(1) == 5
-
-
-def test_power_moment_second_order():
-    half = Fraction(1, 2)
-    poly = CappedPolynomial.monomial(2, half, 0, 8) + CappedPolynomial.monomial(4, half, 0, 8)
-    assert poly.power_moment(1) == 3
-    assert poly.power_moment(2) == 10
-
-
-def test_power_moment_negative_order_is_an_error():
-    with pytest.raises(ValueError):
-        CappedPolynomial.zero(0, 8).power_moment(-1)
-
-
 def test_str_renders_exact_fractions():
     poly = CappedPolynomial.monomial(3, Fraction(1, 3), 0, 8)
     assert str(poly) == "1/3*t^3"
@@ -163,7 +126,7 @@ def test_str_renders_exact_fractions():
 
 @given(capped_polynomials(signed=True), st.integers(-12, 12))
 def test_clamped_shift_conserves_mass(poly, delta):
-    assert poly.shift_clamped(delta).mass() == poly.mass()
+    assert clamped_shift(poly, delta).mass() == poly.mass()
 
 
 @given(capped_polynomials(), st.integers(0, 3), st.integers(-3, 0))
@@ -175,12 +138,7 @@ def test_interior_shift_composition(poly, up, down):
     wide = CappedPolynomial.zero(lo - margin, hi + margin)
     for exponent, coeff in poly.terms():
         wide = wide + CappedPolynomial.monomial(exponent, coeff, lo - margin, hi + margin)
-    assert wide.shift_clamped(up).shift_clamped(down) == wide.shift_clamped(up + down)
-
-
-@given(capped_polynomials(signed=True))
-def test_power_moment_zero_is_mass(poly):
-    assert poly.power_moment(0) == poly.mass()
+    assert clamped_shift(clamped_shift(wide, up), down) == clamped_shift(wide, up + down)
 
 
 @given(st.data())

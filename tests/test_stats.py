@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capchain import (
     AbsorptionRecord,
@@ -15,9 +16,12 @@ from capchain import (
     format_fraction,
     format_fraction_scientific,
     render_stats,
+    run_absorption,
     stats_json_dict,
     summarize,
 )
+
+from _testlib import small_chains
 
 
 def mono(exponent, coeff, lo=0, hi=8):
@@ -111,7 +115,7 @@ def test_variance_matches_direct_mean_centered_sum():
         record = random_record(rng)
         stats = summarize(record, win_capital=6)
         capital = record.marginal_capital()
-        mean = capital.power_moment(1)
+        mean = sum(exponent * coeff for exponent, coeff in capital.terms())
         direct = sum(
             ((Fraction(exponent) - mean) ** 2) * coeff
             for exponent, coeff in capital.terms()
@@ -143,6 +147,41 @@ def test_relabeling_absorbing_states_changes_nothing():
         support=record.support,
     )
     assert summarize(record, 6) == summarize(relabeled, 6)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_chains(), st.integers(1, 5))
+def test_summarize_matches_moments_of_the_conditioned_record(chain, rounds):
+    # summarize divides the unconditioned raw moments by 1 - epsilon once;
+    # that must equal the moments of the record scaled entry by entry.
+    record = run_absorption(chain, chain.transient[0], rounds)
+    if record.epsilon == 1:
+        return
+    stats = summarize(record, chain.support[1])
+    conditional = record.conditional()
+    capital = conditional.marginal_capital()
+    raw_capital = distribution_moments(capital.terms())
+    raw_rounds = distribution_moments(conditional.marginal_rounds().items())
+    m2_c, _, m4_c = central_moments(raw_capital)
+    m2_r, _, m4_r = central_moments(raw_rounds)
+    cross = sum(
+        round_index * exponent * coeff
+        for (round_index, _), poly in conditional.absorbed.items()
+        for exponent, coeff in poly.terms()
+    )
+    assert stats.win_probability == capital.coefficient(chain.support[1])
+    assert (stats.chick_mean, stats.chick_variance, stats.chick_m4) == (
+        raw_capital[1],
+        m2_c,
+        m4_c,
+    )
+    assert (stats.rounds_mean, stats.rounds_variance, stats.rounds_m4) == (
+        raw_rounds[1],
+        m2_r,
+        m4_r,
+    )
+    assert stats.covariance == cross - raw_rounds[1] * raw_capital[1]
+    assert stats.epsilon == record.epsilon
 
 
 # moment helpers

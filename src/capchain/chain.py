@@ -11,21 +11,31 @@ to a CappedPolynomial over the chain's capital window.
 mass that lands in absorbing states.  `run_absorption` iterates it
 for a fixed horizon and collects everything into an AbsorptionRecord:
 one polynomial per (round, absorbing state), the unabsorbed residual,
-and the total leftover mass epsilon.  All arithmetic is rational, so
-absorbed mass plus epsilon is exactly 1 at every horizon.
+and the total leftover mass epsilon.  A round scatters integer numerators
+over one shared denominator (Fractions appear only where the record is
+read), so absorbed mass plus epsilon is exactly 1 at every horizon.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Union
+from math import lcm
+from typing import Dict, Iterable, Optional
 
 from .poly import CappedPolynomial
 
 StateVector = Dict[str, CappedPolynomial]
+
+# Input limits, checked before any row is allocated.  A round makes about
+# live states x out-degree x window integer multiply-adds on numerators that
+# grow log2(D) bits a round, and the record keeps a window-wide row per
+# (round, absorbing state); at these limits a run stays within about 30 s
+# and 150 MB on a 2-core machine (measurements in CHANGES.md).
+MAX_WINDOW = 10_000
+MAX_ROUNDS = 1_000
 
 
 class ChainFormatError(ValueError):
@@ -83,6 +93,15 @@ class WeightedMarkovChain:
             grouped.setdefault(edge.src, []).append(edge)
         return {state: tuple(edges) for state, edges in grouped.items()}
 
+    @cached_property
+    def _scatter_plan(self) -> tuple[int, dict[str, list[tuple[str, int, int]]]]:
+        """D, the lcm of the edge denominators, and per source (dst, prob * D, weight)."""
+        scale = lcm(*(edge.prob.denominator for edge in self.edges))
+        return scale, {
+            state: [(edge.dst, int(edge.prob * scale), edge.weight) for edge in edges]
+            for state, edges in self.out_edges.items()
+        }
+
     def validate(self) -> list[str]:
         """Return human-readable invariant violations, empty when the chain is sound."""
         violations: list[str] = []
@@ -94,6 +113,8 @@ class WeightedMarkovChain:
         lo, hi = self.support
         if lo > hi:
             violations.append(f"inverted capital support [{lo}, {hi}]")
+        elif hi - lo + 1 > MAX_WINDOW:
+            violations.append(f"capital window [{lo}, {hi}] exceeds the {MAX_WINDOW}-cell limit")
         if not self.transient:
             violations.append("chain has no transient state")
         if not self.absorbing:
@@ -134,10 +155,6 @@ def umbra_step(
     Both sides drop all-zero polynomials, and the total mass of input
     equals the total mass of the two outputs exactly.
     """
-    lo, hi = chain.support
-    width = hi - lo + 1
-    top = width - 1
-    landed: dict[str, list[Fraction]] = {}
     for src, poly in state_vector.items():
         if src not in chain.transient_set:
             raise ValueError(f"state vector entry {src!r} is not a transient state")
@@ -146,28 +163,38 @@ def umbra_step(
                 f"state {src!r}: polynomial support {poly.support} does not match "
                 f"chain support {chain.support}"
             )
-        if poly.is_zero:
-            continue
-        for edge in chain.out_edges[src]:
-            cells = landed.get(edge.dst)
+    rows = [(src, poly) for src, poly in state_vector.items() if not poly.is_zero]
+    # Rows are lifted to the lcm of their denominators and edge probabilities
+    # are integers over D, so the round is integer arithmetic over common * D.
+    common = lcm(*(poly.denominator for _, poly in rows))
+    scale, plan = chain._scatter_plan
+    lo, hi = chain.support
+    width = hi - lo + 1
+    landed: dict[str, list[int]] = {}
+    for src, poly in rows:
+        lift = common // poly.denominator
+        row = poly.numerators if lift == 1 else [n * lift for n in poly.numerators]
+        for dst, numerator, weight in plan[src]:
+            cells = landed.get(dst)
             if cells is None:
-                cells = landed[edge.dst] = [Fraction(0)] * width
-            # Scale by edge.prob and shift by edge.weight, clamped into the window,
-            # in place; this inner loop is the engine's hot path and only scatter.
-            prob, weight = edge.prob, edge.weight
-            for index, coeff in enumerate(poly.coeffs):
-                if coeff:
-                    cells[min(max(index + weight, 0), top)] += coeff * prob
+                cells = landed[dst] = [0] * width
+            # Scale and shift: the engine's hot path and only scatter.  Cells
+            # below `first` pile up on the floor, cells from `stop` on the cap.
+            first = min(max(-weight, 0), width)
+            stop = max(min(width - weight, width), first)
+            cells[first + weight : stop + weight] = [
+                c + n * numerator for c, n in zip(cells[first + weight :], row[first:stop])
+            ]
+            cells[0] += sum(row[:first]) * numerator
+            cells[-1] += sum(row[stop:]) * numerator
+    denominator = common * scale
     next_vector: StateVector = {}
     absorbed: dict[str, CappedPolynomial] = {}
     for state, cells in landed.items():
-        poly = CappedPolynomial(lo, hi, tuple(cells))
-        if poly.is_zero:
+        if not any(cells):
             continue
-        if state in chain.absorbing_set:
-            absorbed[state] = poly
-        else:
-            next_vector[state] = poly
+        side = absorbed if state in chain.absorbing_set else next_vector
+        side[state] = CappedPolynomial._from_numerators(lo, hi, tuple(cells), denominator)
     return next_vector, absorbed
 
 
@@ -188,9 +215,6 @@ class AbsorptionRecord:
     epsilon: Fraction
     support: tuple[int, int]
 
-    def total_absorbed_mass(self) -> Fraction:
-        return sum((poly.mass() for poly in self.absorbed.values()), Fraction(0))
-
     def conditional(self) -> "AbsorptionRecord":
         """Condition on absorption within the horizon.
 
@@ -203,36 +227,8 @@ class AbsorptionRecord:
         if self.epsilon == 0:
             return self
         factor = 1 / (1 - self.epsilon)
-        return AbsorptionRecord(
-            absorbed={key: poly.scale(factor) for key, poly in self.absorbed.items()},
-            rounds_run=self.rounds_run,
-            residual={},
-            epsilon=Fraction(0),
-            support=self.support,
-        )
-
-    def marginal_capital(
-        self, states: Union[str, Iterable[str], None] = None
-    ) -> CappedPolynomial:
-        """Capital distribution summed over rounds, optionally restricted to given absorbing states."""
-        if states is None:
-            wanted = None
-        elif isinstance(states, str):
-            wanted = {states}
-        else:
-            wanted = set(states)
-        total = CappedPolynomial.zero(*self.support)
-        for (_, state), poly in self.absorbed.items():
-            if wanted is None or state in wanted:
-                total = total + poly
-        return total
-
-    def marginal_rounds(self) -> dict[int, Fraction]:
-        """Absorption-time distribution: round -> mass absorbed in that round."""
-        masses: dict[int, Fraction] = {}
-        for (round_index, _), poly in self.absorbed.items():
-            masses[round_index] = masses.get(round_index, Fraction(0)) + poly.mass()
-        return dict(sorted(masses.items()))
+        absorbed = {key: poly.scale(factor) for key, poly in self.absorbed.items()}
+        return replace(self, absorbed=absorbed, residual={}, epsilon=Fraction(0))
 
 
 def run_absorption(
@@ -251,8 +247,8 @@ def run_absorption(
     violations = chain.validate()
     if violations:
         raise InvalidChainError(violations)
-    if rounds < 1:
-        raise ValueError(f"horizon must be >= 1, got {rounds}")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"horizon must be between 1 and {MAX_ROUNDS}, got {rounds}")
     if start not in chain.transient_set:
         raise ValueError(f"start state {start!r} is not a transient state")
     lo, hi = chain.support

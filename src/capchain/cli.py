@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .chain import (
+    MAX_ROUNDS,
     AbsorptionRecord,
     ChainFormatError,
     InvalidChainError,
@@ -435,6 +436,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Options a subcommand lacks keep their RunConfig defaults.
     config = RunConfig(**vars(args))
     try:
+        if config.rounds > MAX_ROUNDS:
+            raise UsageError(f"horizon {config.rounds} exceeds the limit of {MAX_ROUNDS} rounds")
         return _COMMANDS[config.command](config)
     except (GameSpecError, InvalidChainError) as exc:
         for line in exc.diagnostics if isinstance(exc, GameSpecError) else exc.violations:

@@ -2,50 +2,75 @@
 
 Accumulated capital is tracked as the exponent of a formal variable t:
 the coefficient of t^j is the probability of holding exactly j units.
-Coefficients are `fractions.Fraction`, so no value is ever rounded.
+Coefficients are exact rationals stored as integer numerators over one
+shared denominator, so no value is ever rounded; `Fraction`s are built
+only when read, at the record and report boundary.
 
 Exponents live in a fixed window [support_min, support_max].  A shift
 that would push mass past either end of the window instead piles it up
 on the boundary cell, which is exactly the "never below the floor" /
 "at least the cap" bookkeeping a capped game needs.  The window is
 small in practice (41 cells for the full chick-counting board), so a
-dense coefficient tuple is the whole representation.
+dense numerator tuple is the whole representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from math import gcd, lcm
+from typing import Iterator, Sequence, Union
 
 # Anything Fraction() accepts losslessly: 3, Fraction(1, 3), "1/3".
 RationalLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CappedPolynomial:
-    """Dense polynomial in t with Fraction coefficients on a fixed exponent window."""
+    """Dense polynomial in t with exact rational coefficients on a fixed exponent window.
+
+    Coefficient j is `numerators[j] / denominator`, reduced by the gcd of all of them
+    (zero has denominator 1): the pair is unique, so field equality is coefficient equality.
+    """
 
     support_min: int
     support_max: int
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        if self.support_min > self.support_max:
+    def __init__(self, support_min: int, support_max: int, coeffs: Sequence[RationalLike]):
+        if support_min > support_max:
+            raise ValueError(f"inverted support [{support_min}, {support_max}]")
+        fractions = [Fraction(c) for c in coeffs]
+        width = support_max - support_min + 1
+        if len(fractions) != width:
             raise ValueError(
-                f"inverted support [{self.support_min}, {self.support_max}]"
+                f"support [{support_min}, {support_max}] needs "
+                f"{width} coefficients, got {len(fractions)}"
             )
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.width:
-            raise ValueError(
-                f"support [{self.support_min}, {self.support_max}] needs "
-                f"{self.width} coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+        # Over the lcm of the reduced denominators the pair is already reduced.
+        denominator = lcm(*(f.denominator for f in fractions))
+        numerators = tuple(f.numerator * (denominator // f.denominator) for f in fractions)
+        self.__dict__.update(support_min=support_min, support_max=support_max,
+                             numerators=numerators, denominator=denominator)
+
+    @classmethod
+    def _from_numerators(
+        cls, support_min: int, support_max: int, numerators: tuple[int, ...], denominator: int
+    ) -> "CappedPolynomial":
+        """Reduce `numerators / denominator` (one per cell, denominator > 0) and wrap it."""
+        common = gcd(*numerators, denominator)
+        if common > 1:
+            numerators = tuple(n // common for n in numerators)
+            denominator //= common
+        poly = cls.__new__(cls)
+        poly.__dict__.update(support_min=support_min, support_max=support_max,
+                             numerators=numerators, denominator=denominator)
+        return poly
 
     @property
-    def width(self) -> int:
-        return self.support_max - self.support_min + 1
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     @property
     def support(self) -> tuple[int, int]:
@@ -53,64 +78,36 @@ class CappedPolynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    @classmethod
-    def zero(cls, support_min: int, support_max: int) -> "CappedPolynomial":
-        """The all-zero polynomial on the given window."""
-        width = support_max - support_min + 1
-        return cls(support_min, support_max, (Fraction(0),) * max(width, 0))
+        return not any(self.numerators)
 
     @classmethod
     def monomial(
-        cls,
-        exponent: int,
-        coeff: RationalLike,
-        support_min: int,
-        support_max: int,
+        cls, exponent: int, coeff: RationalLike, support_min: int, support_max: int
     ) -> "CappedPolynomial":
         """coeff * t^exponent; the exponent must already lie inside the window."""
         if not support_min <= exponent <= support_max:
             raise ValueError(
                 f"exponent {exponent} outside support [{support_min}, {support_max}]"
             )
-        cells = [Fraction(0)] * (support_max - support_min + 1)
-        cells[exponent - support_min] = Fraction(coeff)
-        return cls(support_min, support_max, tuple(cells))
-
-    def coefficient(self, exponent: int) -> Fraction:
-        """Coefficient of t^exponent; zero outside the window."""
-        if self.support_min <= exponent <= self.support_max:
-            return self.coeffs[exponent - self.support_min]
-        return Fraction(0)
+        cells: list[RationalLike] = [0] * (support_max - support_min + 1)
+        cells[exponent - support_min] = coeff
+        return cls(support_min, support_max, cells)
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """Yield (exponent, coefficient) pairs for the nonzero coefficients."""
-        for exponent, coeff in enumerate(self.coeffs, start=self.support_min):
-            if coeff:
-                yield exponent, coeff
-
-    def __add__(self, other: "CappedPolynomial") -> "CappedPolynomial":
-        if not isinstance(other, CappedPolynomial):
-            return NotImplemented
-        if other.support != self.support:
-            raise ValueError(f"support mismatch: {self.support} vs {other.support}")
-        return CappedPolynomial(
-            self.support_min,
-            self.support_max,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        for exponent, numerator in enumerate(self.numerators, start=self.support_min):
+            if numerator:
+                yield exponent, Fraction(numerator, self.denominator)
 
     def scale(self, factor: RationalLike) -> "CappedPolynomial":
         """Multiply every coefficient by an exact rational factor."""
         f = Fraction(factor)
-        return CappedPolynomial(
-            self.support_min, self.support_max, tuple(c * f for c in self.coeffs)
-        )
+        numerators = tuple(n * f.numerator for n in self.numerators)
+        return self._from_numerators(*self.support, numerators, self.denominator * f.denominator)
 
     def mass(self) -> Fraction:
         """Exact sum of all coefficients, i.e. the value at t = 1."""
-        return sum(self.coeffs, Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     def __str__(self) -> str:
         parts = [

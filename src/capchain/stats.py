@@ -1,9 +1,10 @@
 """Summary statistics of an absorption record, exact until presentation.
 
-Every moment is assembled from exact Fractions: means, variances,
-covariance, and the win probability stay rational end to end.  Only
-skewness, kurtosis, and correlation involve square roots, so those are
-evaluated as high-precision Decimals from the exact central moments.
+Every moment is summed from integer numerators over one common
+denominator and divided once: means, variances, covariance, and the win
+probability stay exact rationals end to end.  Only skewness, kurtosis,
+and correlation involve square roots, so those are evaluated as
+high-precision Decimals from the exact central moments.
 Rendering (fixed-point strings, banker's rounding) is the last step
 and never feeds back into arithmetic.
 """
@@ -14,6 +15,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .chain import AbsorptionRecord
@@ -52,13 +54,11 @@ class SummaryStats:
     rounds_run: int
 
 
-def distribution_moments(
-    pairs: Iterable[tuple[int, Fraction]], upto: int = 4
-) -> list[Fraction]:
-    """Raw power moments of a (value, mass) distribution for orders 0..upto."""
-    moments = [Fraction(0)] * (upto + 1)
+def distribution_moments(pairs: Iterable[tuple[int, Fraction]], upto: int = 4) -> list[Fraction]:
+    """Raw power moments of a (value, mass) distribution for orders 0..upto (int masses: ints)."""
+    moments = [0] * (upto + 1)
     for value, mass in pairs:
-        power = Fraction(1)
+        power = 1
         for order in range(upto + 1):
             moments[order] += power * mass
             power *= value
@@ -83,27 +83,28 @@ def _to_decimal(value: Fraction) -> Decimal:
 def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
     """Extract all summary statistics, conditioned on absorption.
 
-    One pass over the unconditioned record builds the capital and round
-    marginals and the round x capital cross sum; each raw moment is then
-    divided by 1 - epsilon once.  `win_capital` is the capital level
+    One pass over the unconditioned record's integer numerators, lifted
+    to one common denominator, builds the capital and round marginals and
+    the round x capital cross sum; each raw moment is then divided by
+    that denominator and 1 - epsilon once.  `win_capital` is the capital level
     that counts as a win (the upper clamp for a compiled game).  Raises
     ValueError when the record absorbed no mass at all, because
     conditioning is then undefined.
     """
     if record.epsilon == 1:
         raise ValueError("no mass was absorbed; cannot condition on absorption")
-    capital: dict[int, Fraction] = {}
-    rounds: dict[int, Fraction] = {}
-    cross = Fraction(0)
+    common = lcm(*(poly.denominator for poly in record.absorbed.values()))
+    capital: dict[int, int] = {}
+    rounds: dict[int, int] = {}
+    cross = 0
     for (round_index, _), poly in record.absorbed.items():
-        mass = first = Fraction(0)
-        for exponent, coeff in poly.terms():
-            capital[exponent] = capital.get(exponent, 0) + coeff
-            mass += coeff
-            first += exponent * coeff
-        rounds[round_index] = rounds.get(round_index, 0) + mass
-        cross += round_index * first
-    norm = 1 - record.epsilon
+        lift = common // poly.denominator
+        for exponent, numerator in enumerate(poly.numerators, poly.support_min):
+            numerator *= lift
+            capital[exponent] = capital.get(exponent, 0) + numerator
+            rounds[round_index] = rounds.get(round_index, 0) + numerator
+            cross += round_index * exponent * numerator
+    norm = Fraction(common) * (1 - record.epsilon)
     raw_capital = [m / norm for m in distribution_moments(capital.items())]
     raw_rounds = [m / norm for m in distribution_moments(rounds.items())]
     m2_c, m3_c, m4_c = central_moments(raw_capital)
@@ -122,7 +123,7 @@ def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
             correlation = _to_decimal(covariance) / _to_decimal(m2_c * m2_r).sqrt()
 
     return SummaryStats(
-        win_probability=capital.get(win_capital, Fraction(0)) / norm,
+        win_probability=capital.get(win_capital, 0) / norm,
         chick_mean=raw_capital[1],
         chick_variance=m2_c,
         chick_m4=m4_c,

@@ -2,7 +2,9 @@
 
 The hypothesis strategies build package objects (they only generate
 inputs); the adapters translate between package objects and the plain
-dicts the independent oracle in _oracle.py speaks.
+dicts the independent oracle in _oracle.py speaks; the record helpers
+recompute polynomial sums and marginals from `.coeffs` alone, so tests
+can check the package against them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from capchain import CappedPolynomial, Edge, WeightedMarkovChain, umbra_step
+
+from _oracle import brute_force_record
 
 
 def unit_fractions(max_denominator: int = 8):
@@ -111,4 +115,70 @@ def clamped_shift(poly: CappedPolynomial, delta: int) -> CappedPolynomial:
     edge = Edge("from", "to", Fraction(1), delta)
     chain = WeightedMarkovChain(("from",), ("to",), (edge,), (lo, hi))
     _, absorbed = umbra_step(chain, {"from": poly})
-    return absorbed.get("to", CappedPolynomial.zero(lo, hi))
+    return absorbed.get("to", zero_poly(lo, hi))
+
+
+def oracle_step(chain: WeightedMarkovChain, vector) -> tuple[dict, dict]:
+    """One round from an arbitrary state vector, by the brute-force oracle.
+
+    The step is linear, so each (state, capital) cell is walked one
+    round on its own and its coefficient weights the outcome.  Returns
+    (live, absorbed) as state -> {capital: Fraction}.
+    """
+    live: dict = {}
+    absorbed: dict = {}
+
+    def accumulate(target: dict, buckets: dict, weight: Fraction) -> None:
+        for state, cells in buckets.items():
+            bucket = target.setdefault(state, {})
+            for capital, prob in cells.items():
+                bucket[capital] = bucket.get(capital, Fraction(0)) + weight * prob
+
+    for state, poly in vector.items():
+        for capital, coeff in poly.terms():
+            landed, residual, _ = brute_force_record(
+                *plain_form(chain), start=state, rounds=1, initial_capital=capital
+            )
+            accumulate(live, residual, coeff)
+            accumulate(absorbed, {dst: cells for (_, dst), cells in landed.items()}, coeff)
+    return live, absorbed
+
+
+def zero_poly(lo: int, hi: int) -> CappedPolynomial:
+    return CappedPolynomial(lo, hi, (0,) * max(hi - lo + 1, 0))
+
+
+def coefficient(poly: CappedPolynomial, exponent: int) -> Fraction:
+    """Coefficient of t^exponent; zero outside the window."""
+    lo, hi = poly.support
+    return poly.coeffs[exponent - lo] if lo <= exponent <= hi else Fraction(0)
+
+
+def add_polys(left: CappedPolynomial, right: CappedPolynomial) -> CappedPolynomial:
+    if left.support != right.support:
+        raise ValueError(f"support mismatch: {left.support} vs {right.support}")
+    return CappedPolynomial(
+        *left.support, tuple(a + b for a, b in zip(left.coeffs, right.coeffs))
+    )
+
+
+def marginal_capital(record, states=None) -> CappedPolynomial:
+    """Capital distribution summed over rounds, optionally only for some absorbing states."""
+    wanted = None if states is None else {states} if isinstance(states, str) else set(states)
+    total = zero_poly(*record.support)
+    for (_, state), poly in record.absorbed.items():
+        if wanted is None or state in wanted:
+            total = add_polys(total, poly)
+    return total
+
+
+def marginal_rounds(record) -> dict[int, Fraction]:
+    """Absorption-time distribution: round -> mass absorbed in that round."""
+    masses: dict[int, Fraction] = {}
+    for (round_index, _), poly in record.absorbed.items():
+        masses[round_index] = masses.get(round_index, Fraction(0)) + sum(poly.coeffs)
+    return dict(sorted(masses.items()))
+
+
+def total_absorbed_mass(record) -> Fraction:
+    return sum((sum(poly.coeffs) for poly in record.absorbed.values()), Fraction(0))

@@ -26,7 +26,7 @@ from capchain import (
 )
 
 from _oracle import brute_force_record, random_chain_data
-from _testlib import chain_from_plain, plain_form, record_as_dicts
+from _testlib import chain_from_plain, plain_form, record_as_dicts, total_absorbed_mass
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,7 +168,7 @@ def test_criterion_2_exact_mass_conservation():
                     break
             record = run_absorption(chain, start, 60)
             outcome.check(
-                record.total_absorbed_mass() + record.epsilon == 1,
+                total_absorbed_mass(record) + record.epsilon == 1,
                 f"{name}: record total differs from 1",
             )
         outcome.note("2 builtin games and 50 random chains, 60 rounds each")

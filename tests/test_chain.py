@@ -1,6 +1,7 @@
 """Chain model, umbral evolution, absorption records, JSON round-trips."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,19 @@ from capchain import (
     run_absorption,
     umbra_step,
 )
+from capchain.chain import MAX_ROUNDS, MAX_WINDOW
 
 from _oracle import brute_force_record
-from _testlib import chain_and_vector, plain_form, record_as_dicts, small_chains
+from _testlib import (
+    chain_and_vector,
+    marginal_capital,
+    marginal_rounds,
+    oracle_step,
+    plain_form,
+    record_as_dicts,
+    small_chains,
+    total_absorbed_mass,
+)
 
 
 def mono(exponent, coeff, lo=0, hi=8):
@@ -89,6 +100,12 @@ def test_validate_flags_undeclared_states_and_bad_probabilities():
     assert any("not positive" in violation for violation in violations)
 
 
+def test_validate_flags_a_capital_window_over_the_limit():
+    assert two_state_chain(support=(1, MAX_WINDOW)).validate() == []
+    violations = two_state_chain(support=(0, MAX_WINDOW)).validate()
+    assert violations == [f"capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit"]
+
+
 def test_validate_flags_duplicate_ids_and_inverted_support():
     chain = WeightedMarkovChain(
         transient=("x",),
@@ -149,7 +166,7 @@ def test_one_round_cannot_finish_the_simplified_game(simplified_chain):
 def test_long_horizon_leaves_almost_nothing(simplified_chain):
     record = run_absorption(simplified_chain, "1", 200)
     assert 0 < record.epsilon < Fraction(1, 10**80)
-    assert record.total_absorbed_mass() + record.epsilon == 1
+    assert total_absorbed_mass(record) + record.epsilon == 1
 
 
 def test_initial_capital_defaults_to_zero_clamped_into_the_window():
@@ -167,6 +184,8 @@ def test_run_rejects_bad_start_and_horizon(simplified_chain):
         run_absorption(simplified_chain, "2", 5)
     with pytest.raises(ValueError, match="horizon"):
         run_absorption(simplified_chain, "1", 0)
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_ROUNDS}"):
+        run_absorption(simplified_chain, "1", MAX_ROUNDS + 1)
 
 
 def test_run_rejects_invalid_chains():
@@ -199,14 +218,14 @@ def test_conditional_rescales_absorbed_mass_to_one():
     )
     conditional = record.conditional()
     assert conditional.absorbed == {(1, "A"): mono(4, 1)}
-    assert conditional.total_absorbed_mass() == 1
+    assert total_absorbed_mass(conditional) == 1
     assert conditional.epsilon == 0
     assert conditional.residual == {}
 
 
 def test_conditional_of_simplified_run_has_unit_mass(simplified_chain):
     record = run_absorption(simplified_chain, "1", 60)
-    assert record.conditional().total_absorbed_mass() == 1
+    assert total_absorbed_mass(record.conditional()) == 1
 
 
 def test_conditional_requires_some_absorption(simplified_chain):
@@ -224,7 +243,7 @@ def test_marginal_capital_of_a_single_entry():
         epsilon=Fraction(1, 2),
         support=(0, 8),
     )
-    assert record.marginal_capital() == poly
+    assert marginal_capital(record) == poly
 
 
 def test_marginal_capital_state_filter():
@@ -235,8 +254,8 @@ def test_marginal_capital_state_filter():
         epsilon=Fraction(0),
         support=(0, 8),
     )
-    assert record.marginal_capital("A") == mono(2, Fraction(1, 4))
-    assert record.marginal_capital(["A", "B"]).mass() == 1
+    assert marginal_capital(record, "A") == mono(2, Fraction(1, 4))
+    assert marginal_capital(record, ["A", "B"]).mass() == 1
 
 
 def test_marginal_rounds_per_round_masses():
@@ -247,12 +266,12 @@ def test_marginal_rounds_per_round_masses():
         epsilon=Fraction(0),
         support=(0, 8),
     )
-    assert record.marginal_rounds() == {3: Fraction(1, 2), 5: Fraction(1, 2)}
+    assert marginal_rounds(record) == {3: Fraction(1, 2), 5: Fraction(1, 2)}
 
 
 def test_marginal_rounds_masses_sum_to_absorbed_mass(simplified_chain):
     record = run_absorption(simplified_chain, "1", 10)
-    assert sum(record.marginal_rounds().values()) == 1 - record.epsilon
+    assert sum(marginal_rounds(record).values()) == 1 - record.epsilon
 
 
 # serialization
@@ -303,7 +322,7 @@ def test_step_conserves_mass_exactly(pair):
 @given(small_chains(), st.integers(1, 6))
 def test_global_conservation_and_monotone_epsilon(chain, rounds):
     record = run_absorption(chain, chain.transient[0], rounds)
-    assert record.total_absorbed_mass() + record.epsilon == 1
+    assert total_absorbed_mass(record) + record.epsilon == 1
     longer = run_absorption(chain, chain.transient[0], rounds + 1)
     assert longer.epsilon <= record.epsilon
 
@@ -330,4 +349,47 @@ def test_small_instances_match_exhaustive_enumeration(chain, rounds):
     oracle = brute_force_record(
         transient, absorbing, edges, support, chain.transient[0], rounds
     )
+    assert record_as_dicts(record) == oracle
+
+
+def edge_denominator(chain):
+    return lcm(*(edge.prob.denominator for edge in chain.edges))
+
+
+@st.composite
+def chain_and_coprime_vector(draw):
+    """A chain plus a vector whose coefficient denominators share no prime with D."""
+    chain = draw(small_chains())
+    primes = [p for p in (7, 11, 13, 17, 19, 23) if edge_denominator(chain) % p]
+    lo, hi = chain.support
+    vector = {}
+    for state in chain.transient:
+        cells = draw(
+            st.lists(
+                st.builds(Fraction, st.integers(0, 3), st.sampled_from(primes)),
+                min_size=hi - lo + 1,
+                max_size=hi - lo + 1,
+            )
+        )
+        poly = CappedPolynomial(lo, hi, cells)
+        if not poly.is_zero:
+            vector[state] = poly
+    return chain, vector
+
+
+@settings(deadline=None)
+@given(chain_and_coprime_vector())
+def test_step_with_coprime_denominators_matches_the_oracle(pair):
+    chain, vector = pair
+    stepped = umbra_step(chain, vector)
+    assert tuple(
+        {state: dict(poly.terms()) for state, poly in polys.items()} for polys in stepped
+    ) == oracle_step(chain, vector)
+
+
+@settings(deadline=None)
+@given(small_chains().filter(lambda chain: edge_denominator(chain) > 6), st.integers(1, 5))
+def test_chains_with_large_edge_denominators_match_exhaustive_enumeration(chain, rounds):
+    record = run_absorption(chain, chain.transient[0], rounds)
+    oracle = brute_force_record(*plain_form(chain), chain.transient[0], rounds)
     assert record_as_dicts(record) == oracle

@@ -14,6 +14,7 @@ from capchain import (
     summarize,
 )
 from capchain import cli
+from capchain.chain import MAX_ROUNDS, MAX_WINDOW
 from capchain.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -188,6 +189,34 @@ def test_analyze_chain_without_transient_states_is_a_usage_error(tmp_path, capsy
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == EXIT_USAGE
     assert "error: chain has no transient state" in err
+
+
+# A window one cell over the limit: an engine without the check runs it
+# quickly, so this test cannot exhaust memory on such an engine either.
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(CHAIN_DOC, support={"min": 0, "max": MAX_WINDOW}),
+        {"animals": ["C"], "board": ["0"] * MAX_WINDOW},
+    ],
+    ids=["chain-support", "game-win-threshold"],
+)
+def test_capital_window_over_the_limit_is_a_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"error: capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])
+def test_horizon_over_the_limit_is_a_usage_error(capsys, command):
+    argv = [command, "--builtin", "simplified", "-M", str(MAX_ROUNDS + 1)]
+    if command != "analyze":
+        argv += ["--trials", "10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: horizon {MAX_ROUNDS + 1} exceeds the limit of {MAX_ROUNDS} rounds\n"
 
 
 # dump-chain and chain round trips

@@ -14,6 +14,8 @@ from capchain import (
     run_absorption,
 )
 
+from _testlib import marginal_capital
+
 
 def out_edges(chain, src):
     return [edge for edge in chain.edges if edge.src == src]
@@ -223,7 +225,7 @@ def test_merging_parallel_edges_does_not_change_absorption(simplified_game):
 
 
 def test_win_capital_is_reachable_in_both_games(full_record_60, simplified_chain):
-    full_capital = full_record_60.marginal_capital()
+    full_capital = marginal_capital(full_record_60)
     assert max(exponent for exponent, _ in full_capital.terms()) == 40
-    simplified_capital = run_absorption(simplified_chain, "1", 60).marginal_capital()
+    simplified_capital = marginal_capital(run_absorption(simplified_chain, "1", 60))
     assert max(exponent for exponent, _ in simplified_capital.terms()) == 8

@@ -43,7 +43,7 @@ class ChainFormatError(ValueError):
 
 
 class InvalidChainError(ValueError):
-    """Raised when a structurally decoded chain breaks a chain invariant."""
+    """Raised when a chain is constructed that breaks an invariant; carries every one."""
 
     def __init__(self, violations: Iterable[str]):
         self.violations = list(violations)
@@ -65,6 +65,8 @@ class Edge:
 
 @dataclass(frozen=True)
 class WeightedMarkovChain:
+    """A sound chain: constructing an unsound one raises InvalidChainError."""
+
     transient: tuple[str, ...]
     absorbing: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -76,6 +78,9 @@ class WeightedMarkovChain:
         object.__setattr__(self, "edges", tuple(self.edges))
         lo, hi = self.support
         object.__setattr__(self, "support", (int(lo), int(hi)))
+        violations = self.validate()
+        if violations:
+            raise InvalidChainError(violations)
 
     @cached_property
     def transient_set(self) -> frozenset[str]:
@@ -241,12 +246,8 @@ def run_absorption(
 
     The walk starts with probability 1 in `start`, holding
     `initial_capital` units (default: 0 clamped into the support
-    window).  Raises InvalidChainError for an unsound chain and
-    ValueError for a bad start state or horizon.
+    window).  Raises ValueError for a bad start state or horizon.
     """
-    violations = chain.validate()
-    if violations:
-        raise InvalidChainError(violations)
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"horizon must be between 1 and {MAX_ROUNDS}, got {rounds}")
     if start not in chain.transient_set:
@@ -313,11 +314,12 @@ def _parse_prob(value: object, where: str) -> Fraction:
 
 
 def chain_from_json_dict(data: object) -> WeightedMarkovChain:
-    """Decode the plain-dict chain form; raises ChainFormatError on shape problems.
+    """Decode the plain-dict chain form into a sound chain.
 
-    Unknown keys (for example an advisory "start") are ignored, and
-    chain invariants are deliberately not checked here; run validate()
-    on the result when soundness matters.
+    Raises ChainFormatError on shape problems, before any chain is
+    built, and InvalidChainError (from the constructor) with every
+    broken invariant.  Unknown keys (for example an advisory "start")
+    are ignored.
     """
     if not isinstance(data, dict):
         raise ChainFormatError("chain document must be a JSON object")

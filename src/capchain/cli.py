@@ -35,6 +35,7 @@ from .chain import (
 from .game import GameSpec, GameSpecError, builtin_game, compile_game, parse_game_spec
 from .simulator import SimulationReport, simulate
 from .stats import (
+    MAX_DIGITS,
     SummaryStats,
     format_fraction_scientific,
     render_stats,
@@ -74,7 +75,6 @@ class AnalysisTarget:
     chain: WeightedMarkovChain
     start: str
     win_capital: int
-    game: Optional[GameSpec]
 
 
 def _load_document(config: RunConfig) -> Union[GameSpec, dict]:
@@ -109,19 +109,13 @@ def _resolve_target(config: RunConfig) -> AnalysisTarget:
             chain=compile_game(document),
             start="1",
             win_capital=document.win_threshold,
-            game=document,
         )
     chain = chain_from_json_dict(document)
-    violations = chain.validate()
-    if violations:
-        raise InvalidChainError(violations)
     start = document.get("start", chain.transient[0])
     if not isinstance(start, str) or start not in chain.transient_set:
         raise UsageError(f"start state {start!r} is not a transient state of the chain")
     # For a bare chain, "winning" means topping out the capital window.
-    return AnalysisTarget(
-        chain=chain, start=start, win_capital=chain.support[1], game=None
-    )
+    return AnalysisTarget(chain=chain, start=start, win_capital=chain.support[1])
 
 
 def _require_game(config: RunConfig) -> GameSpec:
@@ -438,6 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if config.rounds > MAX_ROUNDS:
             raise UsageError(f"horizon {config.rounds} exceeds the limit of {MAX_ROUNDS} rounds")
+        if config.digits > MAX_DIGITS:
+            raise UsageError(f"--digits {config.digits} exceeds the limit of {MAX_DIGITS} places")
         return _COMMANDS[config.command](config)
     except (GameSpecError, InvalidChainError) as exc:
         for line in exc.diagnostics if isinstance(exc, GameSpecError) else exc.violations:

@@ -19,8 +19,10 @@ capital window's upper clamp.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .chain import Edge, WeightedMarkovChain
@@ -41,7 +43,7 @@ class GameSpecError(ValueError):
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A validated-shape game board.
+    """A sound game board: constructing an unsound one raises GameSpecError.
 
     `squares` holds the labels of squares 1..N+1 (1-based board
     positions), terminal last.  Square 1 is the start; any label on it
@@ -59,6 +61,9 @@ class GameSpec:
         object.__setattr__(self, "squares", tuple(self.squares))
         object.__setattr__(self, "blue", frozenset(int(b) for b in self.blue))
         object.__setattr__(self, "win_threshold", int(self.win_threshold))
+        diagnostics = self.validate()
+        if diagnostics:
+            raise GameSpecError(diagnostics)
 
     @property
     def terminal_square(self) -> int:
@@ -66,6 +71,20 @@ class GameSpec:
 
     def label(self, square: int) -> str:
         return self.squares[square - 1]
+
+    @cached_property
+    def moves(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """(destination, chick gain) per animal, in declared order, per square.
+
+        Keys are the squares a piece can stand on, in board order: the
+        start and every labeled square before the terminal.
+        """
+        squares = [1] + [i for i in range(2, self.terminal_square) if self.label(i) != EMPTY]
+        table: dict[int, tuple[tuple[int, int], ...]] = {}
+        for square in squares:
+            targets = [self.next_location(square, animal) for animal in self.animals]
+            table[square] = tuple((target, self.chick_gain(square, target)) for target in targets)
+        return table
 
     def validate(self) -> list[str]:
         """Return diagnostics with board positions, empty when the game is sound."""
@@ -174,16 +193,12 @@ def parse_game_spec(source: Union[str, Mapping]) -> GameSpec:
     if isinstance(threshold, bool) or not isinstance(threshold, int):
         raise GameSpecError(["win_threshold: must be an integer"])
 
-    spec = GameSpec(
+    return GameSpec(
         animals=tuple(animals),
         squares=tuple(board),
         blue=frozenset(blue),
         win_threshold=threshold,
     )
-    diagnostics = spec.validate()
-    if diagnostics:
-        raise GameSpecError(diagnostics)
-    return spec
 
 
 SIMPLIFIED_GAME_JSON = """\
@@ -233,32 +248,18 @@ def compile_game(spec: GameSpec, merge_parallel: bool = True) -> WeightedMarkovC
     summing their probabilities.  The capital window is [0, N], so the
     upper clamp realises the "at least N chicks" win cap.
     """
-    violations = spec.validate()
-    if violations:
-        raise GameSpecError(violations)
-    terminal = spec.terminal_square
-    squares = [1] + [
-        i for i in range(2, terminal) if spec.label(i) != EMPTY
-    ]
-
     prob = Fraction(1, len(spec.animals) + 1)
     edges: list[Edge] = []
-    for square in squares:
+    for square, moves in spec.moves.items():
         src = str(square)
         edges.append(Edge(src=src, dst=src, prob=prob, weight=-1))
-        landing: dict[tuple[int, int], Fraction] = {}
-        for animal in spec.animals:
-            target = spec.next_location(square, animal)
-            key = (target, spec.chick_gain(square, target))
-            if merge_parallel:
-                landing[key] = landing.get(key, Fraction(0)) + prob
-            else:
-                edges.append(Edge(src=src, dst=str(target), prob=prob, weight=key[1]))
-        for (target, gain), total in landing.items():
-            edges.append(Edge(src=src, dst=str(target), prob=total, weight=gain))
+        # Counter keeps first-landing order and counts the animals per landing.
+        landings = Counter(moves).items() if merge_parallel else [(move, 1) for move in moves]
+        for (target, gain), count in landings:
+            edges.append(Edge(src=src, dst=str(target), prob=prob * count, weight=gain))
     return WeightedMarkovChain(
-        transient=tuple(str(i) for i in squares),
-        absorbing=(str(terminal),),
+        transient=tuple(str(square) for square in spec.moves),
+        absorbing=(str(spec.terminal_square),),
         edges=tuple(edges),
         support=(0, spec.win_threshold),
     )

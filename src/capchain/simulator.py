@@ -1,8 +1,8 @@
 """Seeded Monte Carlo play of a game board.
 
 This is the empirical cross-check on the exact engine, so it shares no
-machinery with it: no polynomials, no chains, just the game rules
-executed with sampled spins.
+machinery with it: no polynomials, no chains, just the game's move
+table (`GameSpec.moves`) executed with sampled spins.
 
 The generator is SplitMix64: a counter bumped by a fixed odd constant,
 output through an avalanching bit mixer.  The whole algorithm is a
@@ -17,11 +17,10 @@ order-fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 from typing import Optional
 
-from .game import GameSpec, GameSpecError
+from .game import GameSpec
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -64,22 +63,6 @@ class SplitMix64:
                 return value % bound
 
 
-@lru_cache(maxsize=16)
-def _move_tables(spec: GameSpec) -> dict[int, tuple[tuple[int, int], ...]]:
-    # Per playable square: (destination, chick gain) for each animal outcome.
-    violations = spec.validate()
-    if violations:
-        raise GameSpecError(violations)
-    tables: dict[int, tuple[tuple[int, int], ...]] = {}
-    for square in range(1, spec.terminal_square):
-        moves = []
-        for animal in spec.animals:
-            target = spec.next_location(square, animal)
-            moves.append((target, spec.chick_gain(square, target)))
-        tables[square] = tuple(moves)
-    return tables
-
-
 def play_once(
     spec: GameSpec, rng: SplitMix64, round_cap: Optional[int] = None
 ) -> Optional[tuple[int, int]]:
@@ -91,7 +74,7 @@ def play_once(
     round_cap, a game still unfinished after that many spins is
     abandoned and None is returned (a censored trial).
     """
-    moves = _move_tables(spec)
+    moves = spec.moves
     terminal = spec.terminal_square
     cap = spec.win_threshold
     faces = len(spec.animals) + 1

@@ -1,8 +1,8 @@
 """Summary statistics of an absorption record, exact until presentation.
 
 Every moment is summed from integer numerators over one common
-denominator and divided once: means, variances, covariance, and the win
-probability stay exact rationals end to end.  Only skewness, kurtosis,
+denominator and divided once: means, variances, covariance, kurtosis,
+and the win probability stay exact rationals end to end.  Only skewness
 and correlation involve square roots, so those are evaluated as
 high-precision Decimals from the exact central moments.
 Rendering (fixed-point strings, banker's rounding) is the last step
@@ -13,25 +13,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .chain import AbsorptionRecord
 
-# Working precision for the few irrational statistics; far beyond the
-# 13-ish digits ever rendered, so display values are correctly rounded.
+# Working precision for the two irrational statistics; far beyond the
+# 13-ish digits usually rendered, so display values are correctly rounded.
 DECIMAL_PRECISION = 50
+# Most decimal places a report may ask for: a 10-digit guard below the
+# precision the roots carry.
+MAX_DIGITS = DECIMAL_PRECISION - 10
 
 
 @dataclass(frozen=True)
 class SummaryStats:
     """Conditional-on-absorption statistics of one absorption run.
 
-    Rational statistics are exact Fractions.  The root-bearing ones
-    (skewness, kurtosis, correlation) are Decimals, or None when the
-    relevant variance vanishes.  `chick_m4` and `rounds_m4` are the exact
+    Rational statistics, kurtosis included, are exact Fractions.  The
+    root-bearing ones (skewness, correlation) are Decimals.  Skewness,
+    kurtosis and correlation are None when the relevant variance
+    vanishes.  `chick_m4` and `rounds_m4` are the exact
     fourth central moments, which set the sampling spread of the two
     variances.  `epsilon` is the unconditioned leftover mass of the run
     the statistics were extracted from.
@@ -42,8 +46,8 @@ class SummaryStats:
     chick_variance: Fraction
     chick_m4: Fraction
     chick_skewness: Optional[Decimal]
-    chick_kurtosis_raw: Optional[Decimal]
-    chick_kurtosis_excess: Optional[Decimal]
+    chick_kurtosis_raw: Optional[Fraction]
+    chick_kurtosis_excess: Optional[Fraction]
     rounds_mean: Fraction
     rounds_variance: Fraction
     rounds_m4: Fraction
@@ -117,7 +121,7 @@ def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
         if m2_c > 0:
             sigma2 = _to_decimal(m2_c)
             skewness = _to_decimal(m3_c) / (sigma2 * sigma2.sqrt())
-            kurtosis_raw = _to_decimal(m4_c) / _to_decimal(m2_c**2)
+            kurtosis_raw = m4_c / m2_c**2
             kurtosis_excess = kurtosis_raw - 3
         if m2_c > 0 and m2_r > 0:
             correlation = _to_decimal(covariance) / _to_decimal(m2_c * m2_r).sqrt()
@@ -167,11 +171,6 @@ def format_fraction_scientific(value: Fraction, digits: int) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _format_decimal(value: Decimal, digits: int) -> str:
-    quantum = Decimal(1).scaleb(-digits)
-    return str(value.quantize(quantum, rounding=ROUND_HALF_EVEN))
-
-
 _UNDEFINED = "undefined (zero variance)"
 
 
@@ -182,8 +181,8 @@ def _decimal_pair(value: Fraction, digits: int) -> dict:
 def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
     """Plain-dict report; rationals carry both a decimal and an exact fraction form."""
 
-    def optional(value: Optional[Decimal]) -> Optional[str]:
-        return None if value is None else _format_decimal(value, digits)
+    def optional(value: Union[Fraction, Decimal, None]) -> Optional[str]:
+        return None if value is None else format_fraction(Fraction(value), digits)
 
     return {
         "win_probability": _decimal_pair(stats.win_probability, digits),
@@ -214,11 +213,8 @@ def render_stats(stats: SummaryStats, digits: int = 13, fmt: str = "text") -> st
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
 
-    def fixed(value: Fraction) -> str:
-        return format_fraction(value, digits)
-
-    def rooted(value: Optional[Decimal]) -> str:
-        return _UNDEFINED if value is None else _format_decimal(value, digits)
+    def fixed(value: Union[Fraction, Decimal, None]) -> str:
+        return _UNDEFINED if value is None else format_fraction(Fraction(value), digits)
 
     rows = [
         ("horizon M", str(stats.rounds_run)),
@@ -226,13 +222,13 @@ def render_stats(stats: SummaryStats, digits: int = 13, fmt: str = "text") -> st
         ("win probability", fixed(stats.win_probability)),
         ("chick mean", fixed(stats.chick_mean)),
         ("chick variance", fixed(stats.chick_variance)),
-        ("chick skewness", rooted(stats.chick_skewness)),
-        ("chick kurtosis (raw)", rooted(stats.chick_kurtosis_raw)),
-        ("chick kurtosis (excess)", rooted(stats.chick_kurtosis_excess)),
+        ("chick skewness", fixed(stats.chick_skewness)),
+        ("chick kurtosis (raw)", fixed(stats.chick_kurtosis_raw)),
+        ("chick kurtosis (excess)", fixed(stats.chick_kurtosis_excess)),
         ("rounds mean", fixed(stats.rounds_mean)),
         ("rounds variance", fixed(stats.rounds_variance)),
         ("covariance", fixed(stats.covariance)),
-        ("correlation", rooted(stats.correlation)),
+        ("correlation", fixed(stats.correlation)),
         ("epsilon", format_fraction_scientific(stats.epsilon, digits)),
     ]
     width = max(len(label) for label, _ in rows)

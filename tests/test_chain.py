@@ -55,13 +55,14 @@ def two_state_chain(weight=0, support=(0, 4)):
 
 
 def test_validate_flags_probabilities_not_summing_to_one():
-    chain = WeightedMarkovChain(
-        transient=("1",),
-        absorbing=("end",),
-        edges=(Edge("1", "end", Fraction(2, 3), 0),),
-        support=(0, 4),
-    )
-    violations = chain.validate()
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(
+            transient=("1",),
+            absorbing=("end",),
+            edges=(Edge("1", "end", Fraction(2, 3), 0),),
+            support=(0, 4),
+        )
+    violations = excinfo.value.violations
     assert len(violations) == 1
     assert "'1'" in violations[0]
     assert "2/3" in violations[0]
@@ -72,29 +73,31 @@ def test_validate_accepts_the_compiled_simplified_game(simplified_chain):
 
 
 def test_validate_flags_edges_out_of_absorbing_states():
-    chain = WeightedMarkovChain(
-        transient=("t0",),
-        absorbing=("a0",),
-        edges=(
-            Edge("t0", "a0", Fraction(1), 0),
-            Edge("a0", "t0", Fraction(1), 0),
-        ),
-        support=(0, 4),
-    )
-    assert any("absorbing" in violation for violation in chain.validate())
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(
+            transient=("t0",),
+            absorbing=("a0",),
+            edges=(
+                Edge("t0", "a0", Fraction(1), 0),
+                Edge("a0", "t0", Fraction(1), 0),
+            ),
+            support=(0, 4),
+        )
+    assert any("absorbing" in violation for violation in excinfo.value.violations)
 
 
 def test_validate_flags_undeclared_states_and_bad_probabilities():
-    chain = WeightedMarkovChain(
-        transient=("t0",),
-        absorbing=("a0",),
-        edges=(
-            Edge("t0", "ghost", Fraction(1), 0),
-            Edge("ghost", "a0", Fraction(0), 0),
-        ),
-        support=(0, 4),
-    )
-    violations = chain.validate()
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(
+            transient=("t0",),
+            absorbing=("a0",),
+            edges=(
+                Edge("t0", "ghost", Fraction(1), 0),
+                Edge("ghost", "a0", Fraction(0), 0),
+            ),
+            support=(0, 4),
+        )
+    violations = excinfo.value.violations
     assert any("destination" in violation for violation in violations)
     assert any("source" in violation for violation in violations)
     assert any("not positive" in violation for violation in violations)
@@ -102,25 +105,28 @@ def test_validate_flags_undeclared_states_and_bad_probabilities():
 
 def test_validate_flags_a_capital_window_over_the_limit():
     assert two_state_chain(support=(1, MAX_WINDOW)).validate() == []
-    violations = two_state_chain(support=(0, MAX_WINDOW)).validate()
-    assert violations == [f"capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit"]
+    with pytest.raises(InvalidChainError) as excinfo:
+        two_state_chain(support=(0, MAX_WINDOW))
+    assert excinfo.value.violations == [f"capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit"]
 
 
 def test_validate_flags_duplicate_ids_and_inverted_support():
-    chain = WeightedMarkovChain(
-        transient=("x",),
-        absorbing=("x",),
-        edges=(Edge("x", "x", Fraction(1), 0),),
-        support=(3, 1),
-    )
-    violations = chain.validate()
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(
+            transient=("x",),
+            absorbing=("x",),
+            edges=(Edge("x", "x", Fraction(1), 0),),
+            support=(3, 1),
+        )
+    violations = excinfo.value.violations
     assert any("more than once" in violation for violation in violations)
     assert any("inverted" in violation for violation in violations)
 
 
 def test_validate_flags_a_chain_without_transient_states():
-    chain = WeightedMarkovChain(transient=(), absorbing=("a0",), edges=(), support=(0, 4))
-    assert chain.validate() == ["chain has no transient state"]
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(transient=(), absorbing=("a0",), edges=(), support=(0, 4))
+    assert excinfo.value.violations == ["chain has no transient state"]
 
 
 # umbra_step worked examples on the simplified board
@@ -189,14 +195,14 @@ def test_run_rejects_bad_start_and_horizon(simplified_chain):
 
 
 def test_run_rejects_invalid_chains():
-    chain = WeightedMarkovChain(
-        transient=("t0",),
-        absorbing=("a0",),
-        edges=(Edge("t0", "a0", Fraction(1, 2), 0),),
-        support=(0, 4),
-    )
+    # An unsound chain cannot be built, so it never reaches run_absorption.
     with pytest.raises(InvalidChainError):
-        run_absorption(chain, "t0", 3)
+        WeightedMarkovChain(
+            transient=("t0",),
+            absorbing=("a0",),
+            edges=(Edge("t0", "a0", Fraction(1, 2), 0),),
+            support=(0, 4),
+        )
 
 
 # conditional records and marginals

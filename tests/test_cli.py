@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
 from capchain import (
     builtin_game,
     compile_game,
+    format_fraction,
     render_stats,
     run_absorption,
     simulate,
@@ -217,6 +220,51 @@ def test_horizon_over_the_limit_is_a_usage_error(capsys, command):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: horizon {MAX_ROUNDS + 1} exceeds the limit of {MAX_ROUNDS} rounds\n"
+
+
+def report_rows(out):
+    """(label, value) per line of a text report; labels hold single spaces only."""
+    return [tuple(part.strip() for part in line.split("  ", 1)) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("digits", [28, 40])
+def test_long_digits_round_to_the_default_report(capsys, digits):
+    _, reference, _ = run_cli(capsys, "analyze", "--builtin", "full")
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "full", "--digits", str(digits))
+    assert (code, err) == (EXIT_OK, "")
+    rows, expected = report_rows(out), report_rows(reference)
+    assert [label for label, _ in rows] == [label for label, _ in expected]
+    for (label, value), (_, short) in zip(rows, expected):
+        if label == "epsilon":
+            with localcontext() as ctx:
+                ctx.prec = 13
+                assert str(+Decimal(value)) == short
+        elif "." in value:
+            assert len(value.split(".")[1]) == digits
+            assert format_fraction(Fraction(value), 13) == short
+        else:
+            assert value == short
+
+
+def test_digits_over_the_limit_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "simplified", "--digits", "41")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --digits 41 exceeds the limit of 40 places\n"
+
+
+def test_zero_skewness_renders_in_fixed_point(tmp_path, capsys):
+    path = tmp_path / "symmetric.json"
+    edges = [{"src": "a", "dst": "z", "prob": "1/2", "weight": w} for w in (1, 3)]
+    path.write_text(
+        json.dumps(
+            {"transient": ["a"], "absorbing": ["z"], "support": {"min": 0, "max": 4}, "edges": edges}
+        )
+    )
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    assert dict(report_rows(out))["chick skewness"] == "0.0000000000000"
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert json.loads(out)["chicks"]["skewness"] == "0.0000000000000"
 
 
 # dump-chain and chain round trips

@@ -53,10 +53,9 @@ def test_compact_board_string_form(simplified_game):
 
 
 def test_missing_terminal_diagnostic():
-    spec = GameSpec(
-        animals=("S",), squares=("0", "S", "0"), blue=frozenset(), win_threshold=2
-    )
-    assert any("missing terminal" in d for d in spec.validate())
+    with pytest.raises(GameSpecError) as excinfo:
+        GameSpec(animals=("S",), squares=("0", "S", "0"), blue=frozenset(), win_threshold=2)
+    assert any("missing terminal" in d for d in excinfo.value.diagnostics)
 
 
 def test_misplaced_terminal_diagnostics():
@@ -207,11 +206,9 @@ def test_fox_is_the_only_negative_weight(name):
 
 
 def test_compile_rejects_invalid_specs():
-    spec = GameSpec(
-        animals=("S",), squares=("0", "S", "0"), blue=frozenset(), win_threshold=2
-    )
+    # An unsound spec cannot be built, so it never reaches compile_game.
     with pytest.raises(GameSpecError):
-        compile_game(spec)
+        GameSpec(animals=("S",), squares=("0", "S", "0"), blue=frozenset(), win_threshold=2)
 
 
 def test_merging_parallel_edges_does_not_change_absorption(simplified_game):

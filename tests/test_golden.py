@@ -1,0 +1,161 @@
+"""Golden CLI outputs: sha256 of stdout and stderr, and the exit code, per invocation.
+
+Each case runs `cli.main` in process.  The digests pin every byte a
+report prints, so a refactor that must not change output is checked
+here instead of by diffing output trees by hand.  After a deliberate
+output change, print the new table with
+`PYTHONPATH=src python tests/test_golden.py` and say why in CHANGES.md.
+"""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from capchain.cli import main
+
+INVALID_CHAIN = {
+    "transient": ["a", "b"],
+    "absorbing": ["z"],
+    "support": {"min": 0, "max": 3},
+    "edges": [
+        {"src": "a", "dst": "b", "prob": "1/2", "weight": 1},
+        {"src": "a", "dst": "ghost", "prob": "1/3", "weight": 3},
+        {"src": "b", "dst": "z", "prob": "1", "weight": 2},
+    ],
+}
+
+INVALID_GAME = {"animals": ["S"], "board": ["0", "X", "S"], "blue": [99]}
+
+CASES = {
+    **{
+        f"analyze-{board}-{fmt}{'-record' if record else ''}": [
+            "analyze", "--builtin", board, "-M", "60", "--format", fmt,
+            *(["--full-record"] if record else []),
+        ]
+        for board in ("simplified", "full")
+        for fmt in ("text", "json")
+        for record in (False, True)
+    },
+    "dump-chain-full": ["dump-chain", "--builtin", "full"],
+    "compare-simplified-json": [
+        "compare", "--builtin", "simplified", "--trials", "20000", "--seed", "3",
+        "--format", "json",
+    ],
+    "simulate-full-json": [
+        "simulate", "--builtin", "full", "--trials", "20000", "--seed", "7",
+        "--format", "json",
+    ],
+    "invalid-chain": ["analyze", "{chain}"],
+    "invalid-game": ["analyze", "{game}"],
+    "horizon-over-limit": ["analyze", "--builtin", "simplified", "-M", "1001"],
+}
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# case: (exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = {
+    "analyze-full-json": (
+        0,
+        "0be1ec9dda474d3ddcbb6046c017dfd501a895286c2c2c83fc970485b7376e2a",
+        EMPTY,
+    ),
+    "analyze-full-json-record": (
+        0,
+        "2800a26e5139e55b58952eadf77883add1272d37f9f1de6c23a1021bcf2f364c",
+        EMPTY,
+    ),
+    "analyze-full-text": (
+        0,
+        "a9306e5c75f7824e7565ad17186df8418c9a72d3651bc02d68abad6ee4168142",
+        EMPTY,
+    ),
+    "analyze-full-text-record": (
+        0,
+        "c42a14f9e74b1b617f670046618e0e02af329d87ba64b0fb964d614f9dbeeb37",
+        EMPTY,
+    ),
+    "analyze-simplified-json": (
+        0,
+        "5c2bf10c600b2bfd084e4dc92a4f574ea0f5d6b8e81c83ab9f8edc8141502bea",
+        EMPTY,
+    ),
+    "analyze-simplified-json-record": (
+        0,
+        "bd59c3123f8bb07cca0d8ff5160077ed434ae9f72dc1400ed3751d07a1e12bb4",
+        EMPTY,
+    ),
+    "analyze-simplified-text": (
+        0,
+        "b5b121b69fefb03cb1778f0b5626d210eccc8bda743b5772abedbdab8cba00bd",
+        EMPTY,
+    ),
+    "analyze-simplified-text-record": (
+        0,
+        "e646f6101ecbb9da09fc3991d06cffa02f94d8e7db219228ae9fec0e2a51cf02",
+        EMPTY,
+    ),
+    "compare-simplified-json": (
+        0,
+        "3b254f6b28a6302f4fce0aa3daf1d838b381e73d152cd9ac73609a9a6ad137a3",
+        EMPTY,
+    ),
+    "dump-chain-full": (
+        0,
+        "dbf0276fa7d0c0d0c4782b5bc673b8e6493cfc1120ecdb1a7c5819bd6047cbf8",
+        EMPTY,
+    ),
+    "horizon-over-limit": (
+        2,
+        EMPTY,
+        "f26b89a0c13c3e63d5b920d161bb6364e0e1e7289d4ab6ba3d29964e0e9db04e",
+    ),
+    "invalid-chain": (
+        2,
+        EMPTY,
+        "ebca7788330ddd40229a8295661acbb9a9efe9d268fa5f19707fd90d22af7672",
+    ),
+    "invalid-game": (
+        2,
+        EMPTY,
+        "c3347fa027988d0b8e4eea7e412813ce2e93f36c754cf95b5d5d06dd677f1058",
+    ),
+    "simulate-full-json": (
+        0,
+        "425805f7a7a4008902883f56c2027115016e9ff99a2db122d4744bed0c06175d",
+        EMPTY,
+    ),
+}
+
+
+def run_case(name, directory):
+    paths = {"chain": directory / "chain.json", "game": directory / "game.json"}
+    paths["chain"].write_text(json.dumps(INVALID_CHAIN))
+    paths["game"].write_text(json.dumps(INVALID_GAME))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in CASES[name]])
+    return code, sha256(out.getvalue()), sha256(err.getvalue())
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_its_golden_digest(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        print("GOLDEN = {")
+        for name in sorted(CASES):
+            code, out, err = run_case(name, Path(directory))
+            out, err = ("EMPTY" if d == EMPTY else f'"{d}"' for d in (out, err))
+            print(f'    "{name}": (\n        {code},\n        {out},\n        {err},\n    ),')
+        print("}")

@@ -134,9 +134,9 @@ def test_play_outcomes_stay_in_bounds():
 
 
 def test_play_once_rejects_invalid_spec():
-    spec = GameSpec(animals=("C",), squares=("0", "0"), blue=(), win_threshold=5)
+    # An unsound spec cannot be built, so it never reaches play_once.
     with pytest.raises(GameSpecError):
-        play_once(spec, SplitMix64(1), 10)
+        GameSpec(animals=("C",), squares=("0", "0"), blue=(), win_threshold=5)
 
 
 # batch reports

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from .poly import CappedPolynomial
 
@@ -31,11 +31,13 @@ StateVector = Dict[str, CappedPolynomial]
 
 # Input limits, checked before any row is allocated.  A round makes about
 # live states x out-degree x window integer multiply-adds on numerators that
-# grow log2(D) bits a round, and the record keeps a window-wide row per
-# (round, absorbing state); at these limits a run stays within about 30 s
-# and 150 MB on a 2-core machine (measurements in CHANGES.md).
+# grow log2(D) bits a round, D being the lcm of the edge probability
+# denominators, and the record keeps a window-wide row per (round, absorbing
+# state); at these limits a run stays within about 30 s and 150 MB on a
+# 2-core machine (measurements in CHANGES.md).
 MAX_WINDOW = 10_000
 MAX_ROUNDS = 1_000
+MAX_DENOMINATOR_BITS = 64
 
 
 class ChainFormatError(ValueError):
@@ -126,7 +128,10 @@ class WeightedMarkovChain:
             violations.append("chain has no absorbing state")
 
         totals: dict[str, Fraction] = {state: Fraction(0) for state in self.transient}
+        scale = 1
         for index, edge in enumerate(self.edges):
+            if scale.bit_length() <= MAX_DENOMINATOR_BITS:  # past the limit it stays past
+                scale = lcm(scale, edge.prob.denominator)
             label = f"edge[{index}] {edge.src!r}->{edge.dst!r}"
             if edge.prob <= 0:
                 violations.append(f"{label}: probability {edge.prob} is not positive")
@@ -136,10 +141,16 @@ class WeightedMarkovChain:
                 )
             elif edge.src not in self.transient_set:
                 violations.append(f"{label}: source state is not declared")
-            else:
+            elif scale.bit_length() <= MAX_DENOMINATOR_BITS:  # finer sums cost as much as a run
                 totals[edge.src] += edge.prob
             if edge.dst not in self.transient_set and edge.dst not in self.absorbing_set:
                 violations.append(f"{label}: destination state is not declared")
+        if scale.bit_length() > MAX_DENOMINATOR_BITS:
+            violations.append(
+                f"the lcm of the edge probability denominators exceeds the "
+                f"{MAX_DENOMINATOR_BITS}-bit limit"
+            )
+            return violations  # the sums stopped short of the last edges
         for state, total in totals.items():
             if total != 1:
                 violations.append(
@@ -236,28 +247,19 @@ class AbsorptionRecord:
         return replace(self, absorbed=absorbed, residual={}, epsilon=Fraction(0))
 
 
-def run_absorption(
-    chain: WeightedMarkovChain,
-    start: str,
-    rounds: int,
-    initial_capital: Optional[int] = None,
-) -> AbsorptionRecord:
+def run_absorption(chain: WeightedMarkovChain, start: str, rounds: int) -> AbsorptionRecord:
     """Run `rounds` umbral steps from `start` and collect the full record.
 
-    The walk starts with probability 1 in `start`, holding
-    `initial_capital` units (default: 0 clamped into the support
-    window).  Raises ValueError for a bad start state or horizon.
+    The walk starts with probability 1 in `start`, holding 0 units
+    clamped into the support window.  Raises ValueError for a bad start
+    state or horizon.
     """
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"horizon must be between 1 and {MAX_ROUNDS}, got {rounds}")
     if start not in chain.transient_set:
         raise ValueError(f"start state {start!r} is not a transient state")
     lo, hi = chain.support
-    if initial_capital is None:
-        initial_capital = min(max(0, lo), hi)
-    vector: StateVector = {
-        start: CappedPolynomial.monomial(initial_capital, 1, lo, hi)
-    }
+    vector: StateVector = {start: CappedPolynomial.monomial(min(max(0, lo), hi), 1, lo, hi)}
     absorbed: dict[tuple[int, str], CappedPolynomial] = {}
     for round_index in range(1, rounds + 1):
         vector, landed = umbra_step(chain, vector)
@@ -292,8 +294,8 @@ def chain_to_json_dict(chain: WeightedMarkovChain) -> dict:
     }
 
 
-def dumps_chain(chain: WeightedMarkovChain, indent: int = 2) -> str:
-    return json.dumps(chain_to_json_dict(chain), indent=indent) + "\n"
+def dumps_chain(chain: WeightedMarkovChain) -> str:
+    return json.dumps(chain_to_json_dict(chain), indent=2) + "\n"
 
 
 def _parse_prob(value: object, where: str) -> Fraction:

@@ -6,6 +6,8 @@ seeded Monte Carlo sampler; `compare` runs both and checks every
 statistic at 4 standard errors; `dump-chain` prints the compiled
 chain as JSON.  Input documents are autodetected: a top-level "board"
 field means a game spec, a top-level "edges" field means a chain.
+`_run_exact` is the one exact run and `_emit` the one writer; a report
+stays a text string or a JSON dict until `_emit` writes it.
 
 Exit codes: 0 success, 1 runtime failure (including a failed
 comparison), 2 input or validation error.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, sqrt
@@ -27,7 +30,6 @@ from .chain import (
     AbsorptionRecord,
     ChainFormatError,
     InvalidChainError,
-    WeightedMarkovChain,
     chain_from_json_dict,
     dumps_chain,
     run_absorption,
@@ -37,7 +39,8 @@ from .simulator import SimulationReport, simulate
 from .stats import (
     MAX_DIGITS,
     SummaryStats,
-    format_fraction_scientific,
+    epsilon_pair,
+    format_rows,
     render_stats,
     stats_json_dict,
     summarize,
@@ -68,15 +71,6 @@ class RunConfig:
     output: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AnalysisTarget:
-    """A chain ready to run: where to start and which capital level wins."""
-
-    chain: WeightedMarkovChain
-    start: str
-    win_capital: int
-
-
 def _load_document(config: RunConfig) -> Union[GameSpec, dict]:
     """Load the input as a GameSpec or a raw chain dict, autodetected."""
     if (config.builtin is None) == (config.input_path is None):
@@ -101,21 +95,21 @@ def _load_document(config: RunConfig) -> Union[GameSpec, dict]:
     )
 
 
-def _resolve_target(config: RunConfig) -> AnalysisTarget:
-    """Compile or decode the input into a runnable chain."""
-    document = _load_document(config)
+def _run_exact(document: Union[GameSpec, dict], rounds: int) -> tuple[AbsorptionRecord, int]:
+    """Run the exact engine on a loaded input; return its record and winning capital.
+
+    A game starts on square "1" and wins at its win threshold; a chain starts at its
+    "start" state (default: its first transient state) and wins at its window's top.
+    """
     if isinstance(document, GameSpec):
-        return AnalysisTarget(
-            chain=compile_game(document),
-            start="1",
-            win_capital=document.win_threshold,
-        )
-    chain = chain_from_json_dict(document)
-    start = document.get("start", chain.transient[0])
-    if not isinstance(start, str) or start not in chain.transient_set:
-        raise UsageError(f"start state {start!r} is not a transient state of the chain")
-    # For a bare chain, "winning" means topping out the capital window.
-    return AnalysisTarget(chain=chain, start=start, win_capital=chain.support[1])
+        chain, start, win_capital = compile_game(document), "1", document.win_threshold
+    else:
+        chain = chain_from_json_dict(document)
+        start = document.get("start", chain.transient[0])
+        if not isinstance(start, str) or start not in chain.transient_set:
+            raise UsageError(f"start state {start!r} is not a transient state of the chain")
+        win_capital = chain.support[1]
+    return run_absorption(chain, start, rounds), win_capital
 
 
 def _require_game(config: RunConfig) -> GameSpec:
@@ -125,97 +119,80 @@ def _require_game(config: RunConfig) -> GameSpec:
     return document
 
 
-def _emit(text: str, config: RunConfig) -> None:
+@contextmanager
+def _unlimited_int_text():
+    """Lift the int -> str digit limit while exact results render; input parsing keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
+def _emit(report: Union[str, dict], config: RunConfig) -> None:
+    """Write a text report as is, or a JSON report dict as an indented document."""
+    text = report if isinstance(report, str) else json.dumps(report, indent=2) + "\n"
     if config.output:
         Path(config.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _record_entries(record: AbsorptionRecord) -> list[dict]:
-    entries = []
-    for (round_index, state), poly in sorted(record.absorbed.items()):
-        entries.append(
-            {
-                "round": round_index,
-                "state": state,
-                "mass": str(poly.mass()),
-                "coefficients": {
-                    str(exponent): str(coeff) for exponent, coeff in poly.terms()
-                },
-            }
+def _analysis_report(
+    record: AbsorptionRecord, win_capital: int, config: RunConfig
+) -> Union[str, dict]:
+    """The analyze report: text, or the JSON report dict."""
+    as_json = config.format == "json"
+    if record.epsilon == 1:
+        if not as_json:
+            note = "no mass absorbed within the horizon; statistics undefined\n"
+            return format_rows([("horizon M", record.rounds_run), ("epsilon", 1)]) + note
+        epsilon = epsilon_pair(record.epsilon, config.digits)
+        empty = {"record": []} if config.full_record else {}
+        return {"M": record.rounds_run, "epsilon": epsilon, "statistics": None, **empty}
+    stats = summarize(record, win_capital)
+    report = (stats_json_dict if as_json else render_stats)(stats, config.digits)
+    if not config.full_record:
+        return report
+    entries = sorted(record.conditional().absorbed.items())
+    if not as_json:
+        return report + "\nabsorbed polynomials (conditional on absorption):\n" + "".join(
+            f"round {round_index:>3}  state {state:>4}  {poly}\n"
+            for (round_index, state), poly in entries
         )
-    return entries
+    report["record"] = [
+        {
+            "round": round_index,
+            "state": state,
+            "mass": str(poly.mass()),
+            "coefficients": {str(exponent): str(coeff) for exponent, coeff in poly.terms()},
+        }
+        for (round_index, state), poly in entries
+    ]
+    return report
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    target = _resolve_target(config)
-    record = run_absorption(target.chain, target.start, config.rounds)
-    if record.epsilon == 1:
-        if config.format == "json":
-            payload: dict = {
-                "M": record.rounds_run,
-                "epsilon": {"decimal": "1", "fraction": "1"},
-                "statistics": None,
-            }
-            if config.full_record:
-                payload["record"] = []
-            _emit(json.dumps(payload, indent=2) + "\n", config)
-        else:
-            lines = [
-                f"horizon M  {record.rounds_run}",
-                "epsilon    1",
-                "no mass absorbed within the horizon; statistics undefined",
-            ]
-            _emit("".join(line + "\n" for line in lines), config)
-        return EXIT_OK
-    stats = summarize(record, target.win_capital)
-    if config.format == "json":
-        payload = stats_json_dict(stats, config.digits)
-        if config.full_record:
-            payload["record"] = _record_entries(record.conditional())
-        _emit(json.dumps(payload, indent=2) + "\n", config)
-    else:
-        body = render_stats(stats, config.digits, "text")
-        if config.full_record:
-            lines = ["", "absorbed polynomials (conditional on absorption):"]
-            for (round_index, state), poly in sorted(record.conditional().absorbed.items()):
-                poly_text = " + ".join(
-                    f"{coeff}*t^{exponent}" for exponent, coeff in poly.terms()
-                )
-                lines.append(f"round {round_index:>3}  state {state:>4}  {poly_text}")
-            body += "".join(line + "\n" for line in lines)
-        _emit(body, config)
+    record, win_capital = _run_exact(_load_document(config), config.rounds)
+    with _unlimited_int_text():
+        _emit(_analysis_report(record, win_capital, config), config)
     return EXIT_OK
 
 
 def cmd_simulate(config: RunConfig) -> int:
     spec = _require_game(config)
     report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
+    fields = report.to_json_dict()
     if config.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", config)
+        _emit(fields, config)
     else:
-        win_rate = report.wins / report.completed if report.completed else None
-        rows = [
-            ("trials", report.trials),
-            ("seed", report.seed),
-            ("round cap", report.round_cap),
-            ("censored", report.censored),
-            ("completed", report.completed),
-            ("wins", report.wins),
-            ("win rate", win_rate),
-            ("chick mean", report.chick_mean),
-            ("chick variance", report.chick_variance),
-            ("rounds mean", report.rounds_mean),
-            ("rounds variance", report.rounds_variance),
-            ("correlation", report.correlation),
-        ]
-        width = max(len(label) for label, _ in rows)
-        _emit(
-            "".join(f"{label.ljust(width)}  {value!r}\n" if isinstance(value, float)
-                    else f"{label.ljust(width)}  {value}\n" for label, value in rows),
-            config,
-        )
+        # Every scalar field, with the win rate after the win count.
+        rows = [(key.replace("_", " "), value) for key, value in fields.items()
+                if not key.endswith("histogram")]
+        rows.insert(6, ("win rate", report.wins / report.completed if report.completed else None))
+        _emit(format_rows(rows), config)
     return EXIT_OK
 
 
@@ -294,21 +271,21 @@ def _compare_one(
 
 def cmd_compare(config: RunConfig) -> int:
     spec = _require_game(config)
-    chain = compile_game(spec)
-    record = run_absorption(chain, "1", config.rounds)
+    record, win_capital = _run_exact(spec, config.rounds)
     if record.epsilon == 1:
         raise UsageError("no mass was absorbed; cannot condition on absorption")
-    stats = summarize(record, spec.win_threshold)
+    stats = summarize(record, win_capital)
     report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
     rows, all_pass = compare_statistics(stats, report)
-    epsilon_text = format_fraction_scientific(stats.epsilon, config.digits)
+    with _unlimited_int_text():
+        epsilon = epsilon_pair(stats.epsilon, config.digits)
     if config.format == "json":
         payload = {
             "trials": report.trials,
             "seed": report.seed,
             "round_cap": report.round_cap,
             "censored": report.censored,
-            "epsilon": {"decimal": epsilon_text, "fraction": str(stats.epsilon)},
+            "epsilon": epsilon,
             "statistics": [
                 {
                     "name": row.name,
@@ -322,7 +299,7 @@ def cmd_compare(config: RunConfig) -> int:
             ],
             "pass": all_pass,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", config)
+        _emit(payload, config)
     else:
         header = f"{'statistic':<16} {'exact':>14} {'empirical':>14} {'stderr':>12} {'z':>7}  result"
         lines = [header]
@@ -333,13 +310,13 @@ def cmd_compare(config: RunConfig) -> int:
                 f"{row.name:<16} {row.exact:>14.10g} {empirical:>14} "
                 f"{row.stderr:>12.3g} {z:>7}  {'pass' if row.passed else 'FAIL'}"
             )
-        lines.append(f"epsilon   {epsilon_text}")
-        lines.append(f"censored  {report.censored}")
-        passed = sum(1 for row in rows if row.passed)
-        lines.append(
-            f"result    {'PASS' if all_pass else 'FAIL'} ({passed}/{len(rows)})"
-        )
-        _emit("".join(line + "\n" for line in lines), config)
+        passed = sum(row.passed for row in rows)
+        tail = [
+            ("epsilon", epsilon["decimal"]),
+            ("censored", report.censored),
+            ("result", f"{'PASS' if all_pass else 'FAIL'} ({passed}/{len(rows)})"),
+        ]
+        _emit("".join(line + "\n" for line in lines) + format_rows(tail), config)
     return EXIT_OK if all_pass else EXIT_RUNTIME
 
 
@@ -372,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub: argparse.ArgumentParser, with_horizon: bool = True) -> None:
-        sub.add_argument(
-            "input_path", nargs="?", metavar="input", help="game or chain JSON file"
-        )
+        sub.add_argument("input_path", nargs="?", metavar="input", help="game or chain JSON file")
         sub.add_argument(
             "--builtin",
             choices=["simplified", "full"],

@@ -110,8 +110,5 @@ class CappedPolynomial:
         return Fraction(sum(self.numerators), self.denominator)
 
     def __str__(self) -> str:
-        parts = [
-            str(coeff) if exponent == 0 else f"{coeff}*t^{exponent}"
-            for exponent, coeff in self.terms()
-        ]
+        parts = [f"{coeff}*t^{exponent}" for exponent, coeff in self.terms()]
         return " + ".join(parts) if parts else "0"

@@ -11,7 +11,6 @@ and never feeds back into arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -58,12 +57,12 @@ class SummaryStats:
     rounds_run: int
 
 
-def distribution_moments(pairs: Iterable[tuple[int, Fraction]], upto: int = 4) -> list[Fraction]:
-    """Raw power moments of a (value, mass) distribution for orders 0..upto (int masses: ints)."""
-    moments = [0] * (upto + 1)
+def distribution_moments(pairs: Iterable[tuple[int, Fraction]]) -> list[Fraction]:
+    """Raw power moments of a (value, mass) distribution for orders 0..4 (int masses: ints)."""
+    moments = [0] * 5
     for value, mass in pairs:
         power = 1
-        for order in range(upto + 1):
+        for order in range(5):
             moments[order] += power * mass
             power *= value
     return moments
@@ -178,6 +177,11 @@ def _decimal_pair(value: Fraction, digits: int) -> dict:
     return {"decimal": format_fraction(value, digits), "fraction": str(value)}
 
 
+def epsilon_pair(epsilon: Fraction, digits: int) -> dict:
+    """Leftover mass as a report shows it: scientific decimal and exact fraction."""
+    return {"decimal": format_fraction_scientific(epsilon, digits), "fraction": str(epsilon)}
+
+
 def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
     """Plain-dict report; rationals carry both a decimal and an exact fraction form."""
 
@@ -198,27 +202,29 @@ def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
             "variance": _decimal_pair(stats.rounds_variance, digits),
         },
         "correlation": optional(stats.correlation),
-        "epsilon": {
-            "decimal": format_fraction_scientific(stats.epsilon, digits),
-            "fraction": str(stats.epsilon),
-        },
+        "epsilon": epsilon_pair(stats.epsilon, digits),
         "M": stats.rounds_run,
     }
 
 
-def render_stats(stats: SummaryStats, digits: int = 13, fmt: str = "text") -> str:
-    """Render a report as aligned text or as the JSON document."""
-    if fmt == "json":
-        return json.dumps(stats_json_dict(stats, digits), indent=2) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
+def format_rows(rows: Sequence[tuple[str, object]]) -> str:
+    """Aligned `label  value` lines; floats print as repr, everything else as str."""
+    width = max(len(label) for label, _ in rows)
+    return "".join(
+        f"{label.ljust(width)}  {repr(value) if isinstance(value, float) else value}\n"
+        for label, value in rows
+    )
+
+
+def render_stats(stats: SummaryStats, digits: int = 13) -> str:
+    """Render a report as aligned text; `stats_json_dict` is the JSON form."""
 
     def fixed(value: Union[Fraction, Decimal, None]) -> str:
         return _UNDEFINED if value is None else format_fraction(Fraction(value), digits)
 
     rows = [
-        ("horizon M", str(stats.rounds_run)),
-        ("win capital", str(stats.win_capital)),
+        ("horizon M", stats.rounds_run),
+        ("win capital", stats.win_capital),
         ("win probability", fixed(stats.win_probability)),
         ("chick mean", fixed(stats.chick_mean)),
         ("chick variance", fixed(stats.chick_variance)),
@@ -231,5 +237,4 @@ def render_stats(stats: SummaryStats, digits: int = 13, fmt: str = "text") -> st
         ("correlation", fixed(stats.correlation)),
         ("epsilon", format_fraction_scientific(stats.epsilon, digits)),
     ]
-    width = max(len(label) for label, _ in rows)
-    return "".join(f"{label.ljust(width)}  {value}\n" for label, value in rows)
+    return format_rows(rows)

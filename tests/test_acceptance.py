@@ -250,8 +250,8 @@ def test_criterion_6_horizon_stability(
     full_stats_60, full_stats_80, full_record_60, full_record_80
 ):
     with criterion(6, "horizons 60 and 80 agree to 10 digits") as outcome:
-        rows_60 = report_rows(render_stats(full_stats_60, 10, "text"))
-        rows_80 = report_rows(render_stats(full_stats_80, 10, "text"))
+        rows_60 = report_rows(render_stats(full_stats_60, 10))
+        rows_80 = report_rows(render_stats(full_stats_80, 10))
         for label in sorted(set(rows_60) - {"horizon M", "epsilon"}):
             outcome.check(
                 rows_60[label] == rows_80[label],

@@ -180,11 +180,6 @@ def test_initial_capital_defaults_to_zero_clamped_into_the_window():
     assert record.absorbed == {(1, "a0"): CappedPolynomial.monomial(2, 1, 2, 5)}
 
 
-def test_explicit_initial_capital():
-    record = run_absorption(two_state_chain(weight=1), "t0", 1, initial_capital=3)
-    assert record.absorbed == {(1, "a0"): mono(4, 1, 0, 4)}
-
-
 def test_run_rejects_bad_start_and_horizon(simplified_chain):
     with pytest.raises(ValueError, match="start"):
         run_absorption(simplified_chain, "2", 5)

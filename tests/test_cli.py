@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from capchain import (
     summarize,
 )
 from capchain import cli
-from capchain.chain import MAX_ROUNDS, MAX_WINDOW
+from capchain.chain import MAX_DENOMINATOR_BITS, MAX_ROUNDS, MAX_WINDOW
 from capchain.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -54,7 +55,7 @@ def test_analyze_text_matches_library_render(capsys):
     assert err == ""
     spec = builtin_game("simplified")
     record = run_absorption(compile_game(spec), "1", 60)
-    assert out == render_stats(summarize(record, spec.win_threshold), 13, "text")
+    assert out == render_stats(summarize(record, spec.win_threshold), 13)
 
 
 def test_analyze_is_bit_identical_across_runs(capsys):
@@ -210,6 +211,71 @@ def test_capital_window_over_the_limit_is_a_usage_error(tmp_path, capsys, doc):
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert (code, out) == (EXIT_USAGE, "")
     assert f"error: capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit" in err
+
+
+def leaky_chain(denominator):
+    """A one-state chain that stays put with probability 1 - 1/denominator."""
+    stay = Fraction(denominator - 1, denominator)
+    return {
+        "transient": ["a"],
+        "absorbing": ["z"],
+        "support": {"min": 0, "max": 3},
+        "edges": [
+            {"src": "a", "dst": "a", "prob": str(stay), "weight": 1},
+            {"src": "a", "dst": "z", "prob": str(1 - stay), "weight": 1},
+        ],
+    }
+
+
+# 2**(bits - 1) is the smallest denominator with that many bits.  The
+# third document's probabilities do not sum to 1, and that sum has an
+# 8000-digit denominator: it is refused for the lcm, not added up.
+@pytest.mark.parametrize(
+    "doc, refused",
+    [
+        (leaky_chain(2 ** (MAX_DENOMINATOR_BITS - 1)), False),
+        (leaky_chain(2**MAX_DENOMINATOR_BITS), True),
+        (
+            dict(
+                leaky_chain(2),
+                edges=[
+                    {"src": "a", "dst": "z", "prob": f"1/{10**3999 + odd}", "weight": 1}
+                    for odd in (1, 3)
+                ],
+            ),
+            True,
+        ),
+    ],
+    ids=["at-limit", "one-bit-over", "huge-unsound-sum"],
+)
+def test_denominator_over_the_limit_is_a_usage_error(tmp_path, capsys, doc, refused):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", str(path), "-M", "5")
+    if not refused:
+        assert (code, err) == (EXIT_OK, "")
+        return
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: the lcm of the edge probability denominators exceeds the "
+        f"{MAX_DENOMINATOR_BITS}-bit limit\n"
+    )
+
+
+@pytest.mark.parametrize("full_record", [False, True])
+def test_fractions_past_the_int_digit_limit_render(tmp_path, capsys, full_record):
+    # epsilon's denominator, 100000**450, has 2251 digits; its statistics'
+    # denominators run past the interpreter's 4300-digit int -> str limit.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(leaky_chain(100000)))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    argv = ["analyze", str(path), "-M", "450", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, *(["--full-record"] if full_record else []))
+    assert (code, err) == (EXIT_OK, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    document = json.loads(out)
+    assert Fraction(document["epsilon"]["fraction"]) == Fraction(99999, 100000) ** 450
+    assert len(document.get("record", [])) == (450 if full_record else 0)
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])

@@ -31,6 +31,20 @@ INVALID_CHAIN = {
 
 INVALID_GAME = {"animals": ["S"], "board": ["0", "X", "S"], "blue": [99]}
 
+# A sound chain with a "start" whose record absorbs mass at t^0.
+RECORD_CHAIN = {
+    "transient": ["a", "b"],
+    "absorbing": ["z"],
+    "support": {"min": 0, "max": 3},
+    "start": "b",
+    "edges": [
+        {"src": "b", "dst": "a", "prob": "2/3", "weight": -1},
+        {"src": "b", "dst": "z", "prob": "1/3", "weight": 5},
+        {"src": "a", "dst": "z", "prob": "1/2", "weight": 0},
+        {"src": "a", "dst": "z", "prob": "1/2", "weight": 2},
+    ],
+}
+
 CASES = {
     **{
         f"analyze-{board}-{fmt}{'-record' if record else ''}": [
@@ -50,6 +64,21 @@ CASES = {
         "simulate", "--builtin", "full", "--trials", "20000", "--seed", "7",
         "--format", "json",
     ],
+    "compare-simplified-text": [
+        "compare", "--builtin", "simplified", "--trials", "20000", "--seed", "3",
+    ],
+    "compare-simplified-M1": [
+        "compare", "--builtin", "simplified", "--trials", "50", "-M", "1",
+    ],
+    "simulate-simplified-text": [
+        "simulate", "--builtin", "simplified", "--trials", "2000", "--seed", "7",
+    ],
+    "analyze-simplified-M1-text": ["analyze", "--builtin", "simplified", "-M", "1"],
+    "analyze-simplified-M1-json-record": [
+        "analyze", "--builtin", "simplified", "-M", "1", "--format", "json", "--full-record",
+    ],
+    "analyze-chain-text-record": ["analyze", "{record}", "--full-record"],
+    "analyze-chain-json-record": ["analyze", "{record}", "--full-record", "--format", "json"],
     "invalid-chain": ["analyze", "{chain}"],
     "invalid-game": ["analyze", "{game}"],
     "horizon-over-limit": ["analyze", "--builtin", "simplified", "-M", "1001"],
@@ -59,6 +88,16 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 # case: (exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = {
+    "analyze-chain-json-record": (
+        0,
+        "a93be03de8d617e9d817944ae1718f0e9c887d069a911aae0f49e2b4ac96bf08",
+        EMPTY,
+    ),
+    "analyze-chain-text-record": (
+        0,
+        "31a378897e09fe18eeacd2a2cee30361688f30416655ba38377a5e0f8f2f5ecb",
+        EMPTY,
+    ),
     "analyze-full-json": (
         0,
         "0be1ec9dda474d3ddcbb6046c017dfd501a895286c2c2c83fc970485b7376e2a",
@@ -77,6 +116,16 @@ GOLDEN = {
     "analyze-full-text-record": (
         0,
         "c42a14f9e74b1b617f670046618e0e02af329d87ba64b0fb964d614f9dbeeb37",
+        EMPTY,
+    ),
+    "analyze-simplified-M1-json-record": (
+        0,
+        "163893ca16be6afa9d8e6532f7940dc364d1b3382b0087fced57ceb22f823c5d",
+        EMPTY,
+    ),
+    "analyze-simplified-M1-text": (
+        0,
+        "84f5531ef3ca22b6718af307c7a521420092d494ae5dfe8166712b15d66c5194",
         EMPTY,
     ),
     "analyze-simplified-json": (
@@ -99,9 +148,19 @@ GOLDEN = {
         "e646f6101ecbb9da09fc3991d06cffa02f94d8e7db219228ae9fec0e2a51cf02",
         EMPTY,
     ),
+    "compare-simplified-M1": (
+        2,
+        EMPTY,
+        "3a6326468719bbe191d9fc06abea16c18bffb3f97ee77285963a95abf7032475",
+    ),
     "compare-simplified-json": (
         0,
         "3b254f6b28a6302f4fce0aa3daf1d838b381e73d152cd9ac73609a9a6ad137a3",
+        EMPTY,
+    ),
+    "compare-simplified-text": (
+        0,
+        "d41997ae3ca1362f8463018428e9d1a48b2c636d4ebeda554092efccc43fe9f6",
         EMPTY,
     ),
     "dump-chain-full": (
@@ -129,13 +188,19 @@ GOLDEN = {
         "425805f7a7a4008902883f56c2027115016e9ff99a2db122d4744bed0c06175d",
         EMPTY,
     ),
+    "simulate-simplified-text": (
+        0,
+        "dd04ccaa1cbbb45492d83faf3116c301c2669db435c58103cf2efe743212afa9",
+        EMPTY,
+    ),
 }
 
 
 def run_case(name, directory):
-    paths = {"chain": directory / "chain.json", "game": directory / "game.json"}
-    paths["chain"].write_text(json.dumps(INVALID_CHAIN))
-    paths["game"].write_text(json.dumps(INVALID_GAME))
+    documents = {"chain": INVALID_CHAIN, "game": INVALID_GAME, "record": RECORD_CHAIN}
+    paths = {key: directory / f"{key}.json" for key in documents}
+    for key, document in documents.items():
+        paths[key].write_text(json.dumps(document))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([arg.format(**paths) for arg in CASES[name]])

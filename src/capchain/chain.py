@@ -133,15 +133,18 @@ class WeightedMarkovChain:
             if scale.bit_length() <= MAX_DENOMINATOR_BITS:  # past the limit it stays past
                 scale = lcm(scale, edge.prob.denominator)
             label = f"edge[{index}] {edge.src!r}->{edge.dst!r}"
-            if edge.prob <= 0:
-                violations.append(f"{label}: probability {edge.prob} is not positive")
+            if not 0 < edge.prob <= 1:
+                # Neither printed nor summed: an input number can be too long to print.
+                problem = "is not positive" if edge.prob <= 0 else "exceeds 1"
+                violations.append(f"{label}: probability {problem}")
+                totals.pop(edge.src, None)
             if edge.src in self.absorbing_set:
                 violations.append(
                     f"{label}: absorbing state {edge.src!r} has an outgoing edge"
                 )
             elif edge.src not in self.transient_set:
                 violations.append(f"{label}: source state is not declared")
-            elif scale.bit_length() <= MAX_DENOMINATOR_BITS:  # finer sums cost as much as a run
+            elif edge.src in totals and scale.bit_length() <= MAX_DENOMINATOR_BITS:  # finer sums cost as much as a run
                 totals[edge.src] += edge.prob
             if edge.dst not in self.transient_set and edge.dst not in self.absorbing_set:
                 violations.append(f"{label}: destination state is not declared")

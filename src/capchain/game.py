@@ -237,16 +237,16 @@ def builtin_game(name: str) -> GameSpec:
     return parse_game_spec(text)
 
 
-def compile_game(spec: GameSpec, merge_parallel: bool = True) -> WeightedMarkovChain:
+def compile_game(spec: GameSpec) -> WeightedMarkovChain:
     """Compile a game into a weighted chain over its non-empty squares.
 
     States are square numbers as strings: the start plus every labeled
     square is transient, the terminal is the single absorbing state.
     Each transient square carries the fox self-loop (weight −1) first,
-    then one edge per animal in declared order; with merge_parallel,
-    animal edges landing on the same (square, gain) pair are merged by
-    summing their probabilities.  The capital window is [0, N], so the
-    upper clamp realises the "at least N chicks" win cap.
+    then one edge per distinct (square, gain) landing in first-animal
+    order, with the probabilities of the animals that share it summed.
+    The capital window is [0, N], so the upper clamp realises the "at
+    least N chicks" win cap.
     """
     prob = Fraction(1, len(spec.animals) + 1)
     edges: list[Edge] = []
@@ -254,8 +254,7 @@ def compile_game(spec: GameSpec, merge_parallel: bool = True) -> WeightedMarkovC
         src = str(square)
         edges.append(Edge(src=src, dst=src, prob=prob, weight=-1))
         # Counter keeps first-landing order and counts the animals per landing.
-        landings = Counter(moves).items() if merge_parallel else [(move, 1) for move in moves]
-        for (target, gain), count in landings:
+        for (target, gain), count in Counter(moves).items():
             edges.append(Edge(src=src, dst=str(target), prob=prob * count, weight=gain))
     return WeightedMarkovChain(
         transient=tuple(str(square) for square in spec.moves),

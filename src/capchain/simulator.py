@@ -12,6 +12,14 @@ its own stream out of (seed, trial index); results therefore do not
 depend on how trials might be batched across workers, and the
 reduction (exact integer sums, converted to float once at the end) is
 order-fixed.
+
+There are two ways to play.  `play_once` takes one game through the
+public `SplitMix64` and the move table; it is the replay path, and
+`play_once(spec, SplitMix64.stream(seed, t), round_cap)` reproduces
+trial t of any batch bit for bit.  `simulate` plays a whole batch with
+the generator inlined and the rules flattened into one step table over
+(square, chicks, spin outcome), so a round is a draw and one list
+lookup; the tests hold the two to equal reports.
 """
 
 from __future__ import annotations
@@ -24,13 +32,25 @@ from .game import GameSpec
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(value: int) -> int:
     """SplitMix64's finalizer: avalanche a 64-bit value."""
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK
+    value = ((value ^ (value >> 30)) * _MIX1) & _MASK
+    value = ((value ^ (value >> 27)) * _MIX2) & _MASK
     return value ^ (value >> 31)
+
+
+def _rejection_limit(bound: int) -> int:
+    """Largest multiple of bound that fits in 64 bits.
+
+    Draws at or above it would favor small residues, so they are redrawn.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    return _MASK + 1 - (_MASK + 1) % bound
 
 
 class SplitMix64:
@@ -52,11 +72,7 @@ class SplitMix64:
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound), bias-free via rejection."""
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
-        # Largest multiple of bound that fits in 64 bits; values at or
-        # above it would favor small residues, so they are redrawn.
-        limit = _MASK + 1 - (_MASK + 1) % bound
+        limit = _rejection_limit(bound)
         while True:
             value = self.next_u64()
             if value < limit:
@@ -143,6 +159,31 @@ class SimulationReport:
         }
 
 
+def _step_table(spec: GameSpec) -> list[int]:
+    """The game as one flat transition list over (square, chicks, outcome).
+
+    Cell `(slot * (N + 1) + chicks) * faces` stands for the piece on the
+    slot-th square of `spec.moves` holding `chicks`; adding a spin
+    outcome indexes the next cell, or `~final_chicks` (negative) when
+    the move reaches the terminal.  The fox floor and the chick cap are
+    folded in, so a round is one lookup.  The start is cell 0.
+    """
+    faces = len(spec.animals) + 1
+    cap = spec.win_threshold
+    slot = {square: position for position, square in enumerate(spec.moves)}
+    table: list[int] = []
+    for square, moves in spec.moves.items():
+        for chicks in range(cap + 1):
+            table.append((slot[square] * (cap + 1) + max(chicks - 1, 0)) * faces)
+            for target, gain in moves:
+                landed = min(chicks + gain, cap)
+                if target == spec.terminal_square:
+                    table.append(~landed)
+                else:
+                    table.append((slot[target] * (cap + 1) + landed) * faces)
+    return table
+
+
 def simulate(
     spec: GameSpec, trials: int, seed: int, round_cap: int = 600
 ) -> SimulationReport:
@@ -150,28 +191,50 @@ def simulate(
 
     Trial t draws from SplitMix64.stream(seed, t), so the report is a
     pure function of (spec, trials, seed, round_cap) regardless of
-    execution order.  All accumulators are exact integers; floats
-    appear only in the final division.
+    execution order, and `play_once(spec, SplitMix64.stream(seed, t),
+    round_cap)` replays trial t exactly.  The loop below is that replay
+    with the generator inlined and the rules read from `_step_table`.
+    All accumulators are exact integers; floats appear only in the
+    final division.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    table = _step_table(spec)
+    faces = len(spec.animals) + 1
+    limit = _rejection_limit(faces)
+    mask, golden, mix1, mix2 = _MASK, _GOLDEN, _MIX1, _MIX2  # locals: read once per draw
+    outcomes: dict[tuple[int, int], int] = {}
+    censored = 0
+    for index in range(trials):
+        state = mix64((seed + index * golden) & mask)  # SplitMix64.stream(seed, index)
+        cell = rounds = 0
+        while rounds < round_cap:
+            state = (state + golden) & mask
+            value = ((state ^ (state >> 30)) * mix1) & mask
+            value = ((value ^ (value >> 27)) * mix2) & mask
+            value ^= value >> 31
+            if value >= limit:
+                continue  # rejected: the stream advances, the round does not
+            rounds += 1
+            cell = table[cell + value % faces]
+            if cell < 0:
+                key = (rounds, ~cell)
+                outcomes[key] = outcomes.get(key, 0) + 1
+                break
+        else:
+            censored += 1
+
     chick_histogram: dict[int, int] = {}
     rounds_histogram: dict[int, int] = {}
     sum_c = sum_cc = sum_r = sum_rr = sum_rc = 0
-    censored = 0
-    for index in range(trials):
-        result = play_once(spec, SplitMix64.stream(seed, index), round_cap)
-        if result is None:
-            censored += 1
-            continue
-        rounds, chicks = result
-        chick_histogram[chicks] = chick_histogram.get(chicks, 0) + 1
-        rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + 1
-        sum_c += chicks
-        sum_cc += chicks * chicks
-        sum_r += rounds
-        sum_rr += rounds * rounds
-        sum_rc += rounds * chicks
+    for (rounds, chicks), count in outcomes.items():
+        chick_histogram[chicks] = chick_histogram.get(chicks, 0) + count
+        rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + count
+        sum_c += count * chicks
+        sum_cc += count * chicks * chicks
+        sum_r += count * rounds
+        sum_rr += count * rounds * rounds
+        sum_rc += count * rounds * chicks
 
     n = trials - censored
     chick_mean = chick_variance = rounds_mean = rounds_variance = correlation = None

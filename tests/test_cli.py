@@ -262,6 +262,25 @@ def test_denominator_over_the_limit_is_a_usage_error(tmp_path, capsys, doc, refu
     )
 
 
+# 4300 digits is the longest integer the interpreter converts to text by
+# default; the sum of two such numbers, or the number itself in a
+# diagnostic, used to end in a traceback.
+@pytest.mark.parametrize(
+    "prob, problem",
+    [("9" * 4300, "exceeds 1"), ("-" + "9" * 4300, "is not positive")],
+    ids=["huge-positive", "huge-negative"],
+)
+def test_huge_probabilities_are_a_usage_error(tmp_path, capsys, prob, problem):
+    edge = {"src": "a", "dst": "z", "prob": prob, "weight": 1}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(dict(leaky_chain(2), edges=[edge, edge])))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "".join(
+        f"error: edge[{index}] 'a'->'z': probability {problem}\n" for index in (0, 1)
+    )
+
+
 @pytest.mark.parametrize("full_record", [False, True])
 def test_fractions_past_the_int_digit_limit_render(tmp_path, capsys, full_record):
     # epsilon's denominator, 100000**450, has 2251 digits; its statistics'

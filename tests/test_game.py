@@ -14,7 +14,8 @@ from capchain import (
     run_absorption,
 )
 
-from _testlib import marginal_capital
+from _oracle import brute_force_record
+from _testlib import marginal_capital, record_as_dicts
 
 
 def out_edges(chain, src):
@@ -212,13 +213,18 @@ def test_compile_rejects_invalid_specs():
 
 
 def test_merging_parallel_edges_does_not_change_absorption(simplified_game):
-    merged = compile_game(simplified_game, merge_parallel=True)
-    unmerged = compile_game(simplified_game, merge_parallel=False)
-    assert len(unmerged.edges) > len(merged.edges)
-    assert unmerged.validate() == []
-    left = run_absorption(merged, "1", 10)
-    right = run_absorption(unmerged, "1", 10)
-    assert left == right
+    # The oracle walks one edge per spin outcome, parallel ones unmerged.
+    third = Fraction(1, len(simplified_game.animals) + 1)
+    unmerged = []
+    for square, moves in simplified_game.moves.items():
+        unmerged.append((str(square), str(square), third, -1))
+        unmerged.extend((str(square), str(target), third, gain) for target, gain in moves)
+    merged = compile_game(simplified_game)
+    assert len(unmerged) > len(merged.edges)
+    oracle = brute_force_record(
+        list(merged.transient), list(merged.absorbing), unmerged, merged.support, "1", 8
+    )
+    assert record_as_dicts(run_absorption(merged, "1", 8)) == oracle
 
 
 def test_win_capital_is_reachable_in_both_games(full_record_60, simplified_chain):

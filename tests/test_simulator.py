@@ -7,6 +7,7 @@ import pytest
 from capchain import (
     GameSpec,
     GameSpecError,
+    SimulationReport,
     SplitMix64,
     builtin_game,
     compile_game,
@@ -42,6 +43,63 @@ class AnimalCycle:
         assert bound == self.faces
         self.calls += 1
         return 1 + (self.calls - 1) % (self.faces - 1)
+
+
+_MASK = (1 << 64) - 1
+
+
+def unmix64(value):
+    """Inverse of mix64: undo each xorshift and odd multiplier, last step first."""
+    value ^= value >> 31
+    value ^= value >> 62
+    value = (value * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK
+    value ^= (value >> 27) ^ (value >> 54)
+    value = (value * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK
+    value ^= (value >> 30) ^ (value >> 60)
+    return value
+
+
+def fold_single_plays(spec, trials, seed, round_cap):
+    """The report `simulate` should give, folded from one play_once per trial."""
+    results = []
+    for index in range(trials):
+        result = play_once(spec, SplitMix64.stream(seed, index), round_cap)
+        if result is not None:
+            results.append(result)
+    n = len(results)
+    chick_histogram: dict[int, int] = {}
+    rounds_histogram: dict[int, int] = {}
+    for rounds, chicks in results:
+        chick_histogram[chicks] = chick_histogram.get(chicks, 0) + 1
+        rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + 1
+    chick_mean = chick_variance = rounds_mean = rounds_variance = correlation = None
+    if n:
+        sum_c = sum(chicks for _, chicks in results)
+        sum_r = sum(rounds for rounds, _ in results)
+        sum_cc = sum(chicks * chicks for _, chicks in results)
+        sum_rr = sum(rounds * rounds for rounds, _ in results)
+        sum_rc = sum(rounds * chicks for rounds, chicks in results)
+        chick_mean = sum_c / n
+        chick_variance = (sum_cc * n - sum_c * sum_c) / (n * n)
+        rounds_mean = sum_r / n
+        rounds_variance = (sum_rr * n - sum_r * sum_r) / (n * n)
+        if chick_variance > 0 and rounds_variance > 0:
+            covariance = (sum_rc * n - sum_r * sum_c) / (n * n)
+            correlation = covariance / math.sqrt(chick_variance * rounds_variance)
+    return SimulationReport(
+        trials=trials,
+        seed=seed,
+        round_cap=round_cap,
+        censored=trials - n,
+        wins=chick_histogram.get(spec.win_threshold, 0),
+        chick_mean=chick_mean,
+        chick_variance=chick_variance,
+        rounds_mean=rounds_mean,
+        rounds_variance=rounds_variance,
+        correlation=correlation,
+        chick_histogram=chick_histogram,
+        rounds_histogram=rounds_histogram,
+    )
 
 
 def oracle_moves(spec):
@@ -148,33 +206,31 @@ def test_simulate_is_deterministic():
     assert simulate(spec, 2000, seed=5) != simulate(spec, 2000, seed=6)
 
 
-def test_simulate_matches_a_manual_fold_of_single_plays():
-    spec = builtin_game("simplified")
-    trials, seed, cap = 500, 321, 80
-    report = simulate(spec, trials, seed, round_cap=cap)
+# A round cap of 10 censors some trials on both boards; of 600, none.
+@pytest.mark.parametrize("round_cap", [600, 10])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
+@pytest.mark.parametrize("name", ["simplified", "full"])
+def test_simulate_equals_a_fold_of_single_plays(name, seed, round_cap):
+    spec = builtin_game(name)
+    report = simulate(spec, 1500, seed, round_cap)
+    assert report == fold_single_plays(spec, 1500, seed, round_cap)
+    assert (report.censored > 0) == (round_cap == 10)
 
-    chick_histogram: dict[int, int] = {}
-    rounds_histogram: dict[int, int] = {}
-    results = []
-    for index in range(trials):
-        result = play_once(spec, SplitMix64.stream(seed, index), cap)
-        if result is None:
-            continue
-        results.append(result)
-        rounds, chicks = result
-        chick_histogram[chicks] = chick_histogram.get(chicks, 0) + 1
-        rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + 1
 
-    assert report.censored == trials - len(results)
-    assert report.chick_histogram == chick_histogram
-    assert report.rounds_histogram == rounds_histogram
-    assert report.wins == chick_histogram.get(spec.win_threshold, 0)
-    n = len(results)
-    sum_c = sum(chicks for _, chicks in results)
-    sum_r = sum(rounds for rounds, _ in results)
-    assert report.chick_mean == sum_c / n
-    assert report.rounds_mean == sum_r / n
-    assert report.completed == n
+def test_a_rejected_draw_advances_the_stream_but_not_the_round():
+    # Pick the seed whose trial 0 first draws 2**64 - 1.  Six faces
+    # accept only draws below 2**64 - 4, so that draw is redrawn.
+    seed = unmix64((unmix64(_MASK) - 0x9E3779B97F4A7C15) & _MASK)
+    assert seed == 0xBE12FE39FBD63F3C
+    assert SplitMix64.stream(seed, 0).next_u64() == _MASK
+    rng = SplitMix64.stream(seed, 0)
+    start = rng.state
+    rng.randbelow(6)
+    assert rng.state == (start + 2 * 0x9E3779B97F4A7C15) & _MASK
+    spec = builtin_game("full")
+    assert len(spec.animals) + 1 == 6
+    report = simulate(spec, 40, seed)
+    assert report == fold_single_plays(spec, 40, seed, 600)
 
 
 def test_single_trial_report():

@@ -134,9 +134,11 @@ class WeightedMarkovChain:
                 scale = lcm(scale, edge.prob.denominator)
             label = f"edge[{index}] {edge.src!r}->{edge.dst!r}"
             if not 0 < edge.prob <= 1:
-                # Neither printed nor summed: an input number can be too long to print.
+                # Never summed, and printed only when short: an input number can be too long to print.
+                short = max(abs(edge.prob.numerator), edge.prob.denominator).bit_length() <= MAX_DENOMINATOR_BITS
+                shown = f"probability {edge.prob}" if short else "probability"
                 problem = "is not positive" if edge.prob <= 0 else "exceeds 1"
-                violations.append(f"{label}: probability {problem}")
+                violations.append(f"{label}: {shown} {problem}")
                 totals.pop(edge.src, None)
             if edge.src in self.absorbing_set:
                 violations.append(

@@ -18,8 +18,10 @@ public `SplitMix64` and the move table; it is the replay path, and
 `play_once(spec, SplitMix64.stream(seed, t), round_cap)` reproduces
 trial t of any batch bit for bit.  `simulate` plays a whole batch with
 the generator inlined and the rules flattened into one step table over
-(square, chicks, spin outcome), so a round is a draw and one list
-lookup; the tests hold the two to equal reports.
+(square, spin outcome), so a round is a draw, one list lookup and the
+chick clamp; the tests hold the two to equal reports.  The table has
+one entry per square and outcome, so memory stays proportional to the
+board however long it is.
 """
 
 from __future__ import annotations
@@ -159,28 +161,23 @@ class SimulationReport:
         }
 
 
-def _step_table(spec: GameSpec) -> list[int]:
-    """The game as one flat transition list over (square, chicks, outcome).
+def _step_table(spec: GameSpec) -> list[tuple[int, int]]:
+    """The move table as one flat list over (square, spin outcome).
 
-    Cell `(slot * (N + 1) + chicks) * faces` stands for the piece on the
-    slot-th square of `spec.moves` holding `chicks`; adding a spin
-    outcome indexes the next cell, or `~final_chicks` (negative) when
-    the move reaches the terminal.  The fox floor and the chick cap are
-    folded in, so a round is one lookup.  The start is cell 0.
+    Row `slot * faces` stands for the slot-th square of `spec.moves`
+    (the start is row 0); adding a spin outcome indexes that spin's
+    (next row, chick change): the fox stays put at a change of -1, an
+    animal moves with its chick gain, and a move reaching the terminal
+    has next row -1.  One entry per square and outcome, like the move
+    table itself; the chick floor and cap are applied by the caller.
     """
     faces = len(spec.animals) + 1
-    cap = spec.win_threshold
     slot = {square: position for position, square in enumerate(spec.moves)}
-    table: list[int] = []
+    table: list[tuple[int, int]] = []
     for square, moves in spec.moves.items():
-        for chicks in range(cap + 1):
-            table.append((slot[square] * (cap + 1) + max(chicks - 1, 0)) * faces)
-            for target, gain in moves:
-                landed = min(chicks + gain, cap)
-                if target == spec.terminal_square:
-                    table.append(~landed)
-                else:
-                    table.append((slot[target] * (cap + 1) + landed) * faces)
+        table.append((slot[square] * faces, -1))
+        for target, gain in moves:
+            table.append((-1 if target == spec.terminal_square else slot[target] * faces, gain))
     return table
 
 
@@ -201,13 +198,14 @@ def simulate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     table = _step_table(spec)
     faces = len(spec.animals) + 1
+    cap = spec.win_threshold
     limit = _rejection_limit(faces)
     mask, golden, mix1, mix2 = _MASK, _GOLDEN, _MIX1, _MIX2  # locals: read once per draw
     outcomes: dict[tuple[int, int], int] = {}
     censored = 0
     for index in range(trials):
         state = mix64((seed + index * golden) & mask)  # SplitMix64.stream(seed, index)
-        cell = rounds = 0
+        row = chicks = rounds = 0
         while rounds < round_cap:
             state = (state + golden) & mask
             value = ((state ^ (state >> 30)) * mix1) & mask
@@ -216,9 +214,14 @@ def simulate(
             if value >= limit:
                 continue  # rejected: the stream advances, the round does not
             rounds += 1
-            cell = table[cell + value % faces]
-            if cell < 0:
-                key = (rounds, ~cell)
+            row, change = table[row + value % faces]
+            chicks += change
+            if chicks > cap:
+                chicks = cap
+            elif chicks < 0:
+                chicks = 0
+            if row < 0:
+                key = (rounds, chicks)
                 outcomes[key] = outcomes.get(key, 0) + 1
                 break
         else:

@@ -281,6 +281,17 @@ def test_huge_probabilities_are_a_usage_error(tmp_path, capsys, prob, problem):
     )
 
 
+@pytest.mark.parametrize(
+    "prob, message", [("3/2", "probability 3/2 exceeds 1"), (0, "probability 0 is not positive")]
+)
+def test_short_bad_probabilities_are_printed(tmp_path, capsys, prob, message):
+    edge = {"src": "a", "dst": "z", "prob": prob, "weight": 1}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(dict(leaky_chain(2), edges=[edge])))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: edge[0] 'a'->'z': {message}\n")
+
+
 @pytest.mark.parametrize("full_record", [False, True])
 def test_fractions_past_the_int_digit_limit_render(tmp_path, capsys, full_record):
     # epsilon's denominator, 100000**450, has 2251 digits; its statistics'

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: PRNG reference vectors, game play, batch reports."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -231,6 +232,23 @@ def test_a_rejected_draw_advances_the_stream_but_not_the_round():
     assert len(spec.animals) + 1 == 6
     report = simulate(spec, 40, seed)
     assert report == fold_single_plays(spec, 40, seed, 600)
+
+
+def test_simulate_memory_grows_with_the_board_not_with_board_times_cap():
+    # One animal on each of 3000 squares, a cap of 3000 chicks: a table over
+    # (square, chicks) would hold 18 million entries, one over squares 6000.
+    n = 3000
+    spec = GameSpec(animals=("a",), squares=("a",) * n + ("*",), blue=(), win_threshold=n)
+    spec.moves  # the spec's own table, built before the measurement
+    tracemalloc.start()
+    try:
+        report = simulate(spec, 2, seed=1, round_cap=4 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * n
+    assert report.censored == 0
+    assert report == fold_single_plays(spec, 2, 1, 4 * n)
 
 
 def test_single_trial_report():

@@ -11,9 +11,9 @@ to a CappedPolynomial over the chain's capital window.
 mass that lands in absorbing states.  `run_absorption` iterates it
 for a fixed horizon and collects everything into an AbsorptionRecord:
 one polynomial per (round, absorbing state), the unabsorbed residual,
-and the total leftover mass epsilon.  A round scatters integer numerators
-over one shared denominator (Fractions appear only where the record is
-read), so absorbed mass plus epsilon is exactly 1 at every horizon.
+and the total leftover mass epsilon.  A round scatters packed integer
+rows over one shared denominator (Fractions appear only where the record
+is read), so absorbed mass plus epsilon is exactly 1 at every horizon.
 """
 
 from __future__ import annotations
@@ -25,16 +25,18 @@ from functools import cached_property
 from math import lcm
 from typing import Dict, Iterable
 
-from .poly import CappedPolynomial
+from .poly import CappedPolynomial, _cell_bits, _clamped
 
 StateVector = Dict[str, CappedPolynomial]
 
-# Input limits, checked before any row is allocated.  A round makes about
-# live states x out-degree x window integer multiply-adds on numerators that
-# grow log2(D) bits a round, D being the lcm of the edge probability
-# denominators, and the record keeps a window-wide row per (round, absorbing
-# state); at these limits a run stays within about 30 s and 150 MB on a
-# 2-core machine (measurements in CHANGES.md).
+# Input limits, checked before any row is allocated.  A round makes a few
+# big-int operations per live state and out-edge, on packed rows of up to a
+# window of cells whose numerators grow up to log2(D) bits a round, D being
+# the lcm of the edge probability denominators; the record keeps a row per
+# (round, absorbing state).  At M = 1000 on a 2-core machine a run stays
+# within 1 s and 18 MB for the full game, 7 s and 344 MB for a random walk
+# on a 10000-cell window, and 3 s and 36 MB for a 41-cell chain with
+# D = 2^64 - 59 (CHANGES.md has the cases).
 MAX_WINDOW = 10_000
 MAX_ROUNDS = 1_000
 MAX_DENOMINATOR_BITS = 64
@@ -174,7 +176,11 @@ def umbra_step(
     by the edge weight.  Returns the next transient state vector and
     the mass absorbed during this round, keyed by absorbing state.
     Both sides drop all-zero polynomials, and the total mass of input
-    equals the total mass of the two outputs exactly.
+    equals the total mass of the two outputs exactly.  Rows stay packed
+    (see `capchain.poly`) at one cell width per round, wide enough for
+    every landed cell: an edge is a shift, a split and a digit sum where
+    it clamps, and one multiply-add.  Rows of another width or
+    denominator are lifted and repacked first.
     """
     for src, poly in state_vector.items():
         if src not in chain.transient_set:
@@ -187,35 +193,35 @@ def umbra_step(
     rows = [(src, poly) for src, poly in state_vector.items() if not poly.is_zero]
     # Rows are lifted to the lcm of their denominators and edge probabilities
     # are integers over D, so the round is integer arithmetic over common * D.
-    common = lcm(*(poly.denominator for _, poly in rows))
+    common = lcm(*(poly._den for _, poly in rows))
     scale, plan = chain._scatter_plan
     lo, hi = chain.support
     width = hi - lo + 1
-    landed: dict[str, list[int]] = {}
+    # No landed cell exceeds D times the lifted rows' summed bounds.  Past that
+    # the cell width grows by a quarter at least, so rows are repacked O(log M) times.
+    bound = scale * sum(poly._bound * (common // poly._den) for _, poly in rows)
+    bits = max((poly._bits for _, poly in rows), default=8)
+    if bound >> (bits - 1):
+        bits = _cell_bits(max(bound, 1 << bits * 5 // 4))
+    landed: dict[str, list[int]] = {}  # state -> [packed cells, offset, bound]
     for src, poly in rows:
-        lift = common // poly.denominator
-        row = poly.numerators if lift == 1 else [n * lift for n in poly.numerators]
+        lift = common // poly._den
+        value, row_bound = poly._repacked(bits, lift), poly._bound * lift
         for dst, numerator, weight in plan[src]:
-            cells = landed.get(dst)
-            if cells is None:
-                cells = landed[dst] = [0] * width
-            # Scale and shift: the engine's hot path and only scatter.  Cells
-            # below `first` pile up on the floor, cells from `stop` on the cap.
-            first = min(max(-weight, 0), width)
-            stop = max(min(width - weight, width), first)
-            cells[first + weight : stop + weight] = [
-                c + n * numerator for c, n in zip(cells[first + weight :], row[first:stop])
-            ]
-            cells[0] += sum(row[:first]) * numerator
-            cells[-1] += sum(row[stop:]) * numerator
+            # Scale and shift: the engine's hot path and only scatter.
+            term, at = _clamped(value, poly._offset, poly._span, bits, weight, width)
+            cell = landed.setdefault(dst, [0, at, 0])
+            if at < cell[1]:
+                cell[0], cell[1] = cell[0] << (cell[1] - at) * bits, at
+            cell[0] += term * numerator << (at - cell[1]) * bits
+            cell[2] += row_bound * numerator
     denominator = common * scale
     next_vector: StateVector = {}
     absorbed: dict[str, CappedPolynomial] = {}
-    for state, cells in landed.items():
-        if not any(cells):
-            continue
-        side = absorbed if state in chain.absorbing_set else next_vector
-        side[state] = CappedPolynomial._from_numerators(lo, hi, tuple(cells), denominator)
+    for state, (value, offset, cell_bound) in landed.items():
+        if value:
+            side = absorbed if state in chain.absorbing_set else next_vector
+            side[state] = CappedPolynomial._packed(lo, hi, value, offset, bits, denominator, cell_bound)
     return next_vector, absorbed
 
 

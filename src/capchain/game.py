@@ -77,14 +77,16 @@ class GameSpec:
         """(destination, chick gain) per animal, in declared order, per square.
 
         Keys are the squares a piece can stand on, in board order: the
-        start and every labeled square before the terminal.
+        start and every labeled square before the terminal.  Built in one
+        pass from the terminal down, keeping each animal's next square.
         """
-        squares = [1] + [i for i in range(2, self.terminal_square) if self.label(i) != EMPTY]
+        nearest = dict.fromkeys(self.animals, self.terminal_square)
         table: dict[int, tuple[tuple[int, int], ...]] = {}
-        for square in squares:
-            targets = [self.next_location(square, animal) for animal in self.animals]
-            table[square] = tuple((target, self.chick_gain(square, target)) for target in targets)
-        return table
+        for square in range(self.win_threshold, 0, -1):
+            if square == 1 or self.label(square) != EMPTY:
+                table[square] = tuple((t, self.chick_gain(square, t)) for t in map(nearest.get, self.animals))
+                nearest[self.label(square)] = square
+        return dict(sorted(table.items()))
 
     def validate(self) -> list[str]:
         """Return diagnostics with board positions, empty when the game is sound."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .chain import AbsorptionRecord
@@ -86,33 +86,41 @@ def _to_decimal(value: Fraction) -> Decimal:
 def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
     """Extract all summary statistics, conditioned on absorption.
 
-    One pass over the unconditioned record's integer numerators, lifted
-    to one common denominator, builds the capital and round marginals and
-    the round x capital cross sum; each raw moment is then divided by
-    that denominator and 1 - epsilon once.  `win_capital` is the capital level
-    that counts as a win (the upper clamp for a compiled game).  Raises
-    ValueError when the record absorbed no mass at all, because
+    One pass over the unconditioned record's absorbed rows reads each
+    row's stored cells and unreduced denominator.  It builds the capital
+    marginal, the round marginal's raw power sums and the round x capital
+    cross sum over one common denominator, lifting the sums so far to each
+    new denominator as it appears (Horner); each raw moment is then divided
+    by that denominator and 1 - epsilon once.  `win_capital` is the capital
+    level that counts as a win (the upper clamp for a compiled game).
+    Raises ValueError when the record absorbed no mass at all, because
     conditioning is then undefined.
     """
     if record.epsilon == 1:
         raise ValueError("no mass was absorbed; cannot condition on absorption")
-    common = lcm(*(poly.denominator for poly in record.absorbed.values()))
+    common = 1
     capital: dict[int, int] = {}
-    rounds: dict[int, int] = {}
-    cross = 0
+    sums = [0] * 6  # round marginal power sums of orders 0..4, then the cross sum
     for (round_index, _), poly in record.absorbed.items():
-        lift = common // poly.denominator
-        for exponent, numerator in enumerate(poly.numerators, poly.support_min):
-            numerator *= lift
+        first, cells, denominator = poly._raw_cells()
+        step = denominator // gcd(common, denominator)
+        if step > 1:
+            common *= step
+            capital = {exponent: total * step for exponent, total in capital.items()}
+            sums = [total * step for total in sums]
+        lift = common // denominator
+        cells = [numerator * lift for numerator in cells] if lift > 1 else cells
+        for exponent, numerator in enumerate(cells, first):
             capital[exponent] = capital.get(exponent, 0) + numerator
-            rounds[round_index] = rounds.get(round_index, 0) + numerator
-            cross += round_index * exponent * numerator
+        row = distribution_moments([(round_index, sum(cells))])
+        row.append(round_index * sum(e * n for e, n in enumerate(cells, first)))
+        sums = [a + b for a, b in zip(sums, row)]
     norm = Fraction(common) * (1 - record.epsilon)
     raw_capital = [m / norm for m in distribution_moments(capital.items())]
-    raw_rounds = [m / norm for m in distribution_moments(rounds.items())]
+    raw_rounds = [m / norm for m in sums[:5]]
     m2_c, m3_c, m4_c = central_moments(raw_capital)
     m2_r, _, m4_r = central_moments(raw_rounds)
-    covariance = cross / norm - raw_rounds[1] * raw_capital[1]
+    covariance = sums[5] / norm - raw_rounds[1] * raw_capital[1]
 
     with localcontext() as ctx:
         ctx.prec = DECIMAL_PRECISION

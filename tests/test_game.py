@@ -1,8 +1,10 @@
 """Game parsing, rule semantics, and compilation to chains."""
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from capchain import (
     Edge,
@@ -154,6 +156,39 @@ def test_next_location_never_skips_a_matching_square(name):
             assert spec.matches(target, animal)
             for skipped in range(square + 1, target):
                 assert not spec.matches(skipped, animal)
+
+
+@st.composite
+def boards(draw):
+    animals = tuple(draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True)))
+    labels = draw(st.lists(st.sampled_from(animals + ("0",)), min_size=1, max_size=30))
+    blue = draw(st.frozensets(st.integers(2, len(labels) + 1)))
+    return GameSpec(animals=animals, squares=tuple(labels) + ("*",), blue=blue, win_threshold=len(labels))
+
+
+@given(boards())
+def test_moves_equal_the_next_location_table(spec):
+    standing = [1] + [s for s in range(2, spec.terminal_square) if spec.label(s) != "0"]
+    assert spec.moves == {
+        square: tuple(
+            (target, spec.chick_gain(square, target))
+            for target in (spec.next_location(square, animal) for animal in spec.animals)
+        )
+        for square in standing
+    }
+    assert list(spec.moves) == standing
+
+
+def test_moves_of_a_long_sparse_board_take_linear_time():
+    # Every square is "a" and "b" matches only the terminal: a forward scan
+    # per (square, animal) would walk the whole board from every square.
+    n = 10_000
+    spec = GameSpec(animals=("a", "b"), squares=("a",) * n + ("*",), blue=(), win_threshold=n)
+    start = perf_counter()
+    moves = spec.moves
+    assert perf_counter() - start < 2.0
+    assert moves[1] == ((2, 1), (n + 1, n))
+    assert moves[n] == ((n + 1, 1), (n + 1, 1))
 
 
 # compilation

@@ -1,0 +1,121 @@
+"""The packed-row scatter: carries, clamps, mixed rows, and wide windows."""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from capchain import CappedPolynomial, Edge, WeightedMarkovChain, run_absorption, summarize, umbra_step
+
+from _testlib import oracle_step, small_chains
+
+
+def as_dicts(stepped):
+    return tuple({state: dict(poly.terms()) for state, poly in polys.items()} for polys in stepped)
+
+
+def oracle_nonzero(chain, vector):
+    """`oracle_step` without the cells, and then the states, whose signed mass cancelled to zero."""
+    sides = []
+    for side in oracle_step(chain, vector):
+        nonzero = {state: {j: c for j, c in cells.items() if c} for state, cells in side.items()}
+        sides.append({state: cells for state, cells in nonzero.items() if cells})
+    return tuple(sides)
+
+
+@st.composite
+def chain_and_mixed_vector(draw):
+    """Rows of unrelated denominators and cell widths, signed cells, mass above 1."""
+    chain = draw(small_chains())
+    lo, hi = chain.support
+    vector = {}
+    for state in chain.transient:
+        cells = draw(
+            st.lists(
+                st.builds(
+                    Fraction,
+                    st.integers(-3, 3) | st.integers(-(2**70), 2**70),
+                    st.sampled_from([1, 2, 3, 7, 11, 2**64 - 59]),
+                ),
+                min_size=hi - lo + 1,
+                max_size=hi - lo + 1,
+            )
+        )
+        poly = CappedPolynomial(lo, hi, cells)
+        if not poly.is_zero:
+            vector[state] = poly
+    return chain, vector
+
+
+@settings(deadline=None)
+@given(chain_and_mixed_vector())
+def test_step_of_mixed_signed_rows_matches_the_oracle(pair):
+    chain, vector = pair
+    stepped = umbra_step(chain, vector)
+    assert as_dicts(stepped) == oracle_nonzero(chain, vector)
+    for polys in stepped:
+        for poly in polys.values():
+            assert poly.mass() == sum(poly.coeffs)
+    # Stepped rows (unreduced denominators, the round's cell width) beside fresh ones.
+    mixed = {**vector, **stepped[0]}
+    assert as_dicts(umbra_step(chain, mixed)) == oracle_nonzero(chain, mixed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cells_at_the_edge_of_their_width_survive_a_wider_round(k, sign):
+    # A row whose one nonzero cell is +-(2^(8k-1) - 1) is packed exactly 8k
+    # bits wide; several of them, scattered over probabilities of denominator
+    # 1000, need a wider round than any of them.  The clamped edges push the
+    # alternating row's signed cells past both the floor and the cap.
+    extreme = sign * (2 ** (8 * k - 1) - 1)
+    lo, hi = -2, 3
+    width = hi - lo + 1
+    rows = {
+        "single": CappedPolynomial.monomial(lo, extreme, lo, hi),
+        "top": CappedPolynomial.monomial(hi, -extreme, lo, hi),
+        "alternating": CappedPolynomial(lo, hi, [extreme * (-1) ** i for i in range(width)]),
+    }
+    edges = [
+        Edge(src, dst, Fraction(n, 1000), weight)
+        for src in rows
+        for dst, n, weight in (("floor", 101, -4), ("cap", 299, 4), ("single", 600, 1))
+    ]
+    chain = WeightedMarkovChain(tuple(rows), ("floor", "cap"), tuple(edges), (lo, hi))
+    assert rows["single"]._bits == rows["top"]._bits == 8 * k
+    stepped = umbra_step(chain, rows)
+    assert as_dicts(stepped) == oracle_nonzero(chain, rows)
+    assert all(poly._bits > rows["alternating"]._bits for polys in stepped for poly in polys.values())
+    assert sum(poly.mass() for polys in stepped for poly in polys.values()) == sum(
+        poly.mass() for poly in rows.values()
+    )
+
+
+@pytest.mark.parametrize("lo", [0, -5000])
+def test_a_sparse_row_in_a_wide_window_costs_its_occupied_cells(lo):
+    # A walk that spreads one cell a round over a 10000-cell window, from its
+    # floor or from its middle: rows packed over the whole window, or from
+    # its floor, would take thousands of cells x the cell width each; packed
+    # from their lowest to their highest nonzero cell they take a few hundred
+    # bytes.
+    walk = WeightedMarkovChain(
+        transient=("a",),
+        absorbing=("z",),
+        edges=(
+            Edge("a", "a", Fraction(49, 100), 1),
+            Edge("a", "a", Fraction(49, 100), -1),
+            Edge("a", "z", Fraction(1, 50), 0),
+        ),
+        support=(lo, lo + 9999),
+    )
+    tracemalloc.start()
+    try:
+        record = run_absorption(walk, "a", 40)
+        stats = summarize(record, lo + 9999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert record.absorbed[(1, "z")] == CappedPolynomial.monomial(0, Fraction(1, 50), lo, lo + 9999)
+    assert stats.win_probability == 0

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import lcm
 from typing import Dict, Iterable
 
-from .poly import CappedPolynomial, _cell_bits, _clamped
+from .poly import CappedPolynomial, scatter
 
 StateVector = Dict[str, CappedPolynomial]
 
@@ -40,6 +40,11 @@ StateVector = Dict[str, CappedPolynomial]
 MAX_WINDOW = 10_000
 MAX_ROUNDS = 1_000
 MAX_DENOMINATOR_BITS = 64
+# A full record prints a numerator and a denominator per stored cell: at most about a byte
+# per bit of its sum over rows of cells x denominator bits.  Twice the full game's at M = 1000
+# (5.2e7: 48 MB of JSON, 3 s, 219 MB); at the limit a D = 3 walk on 10000 cells prints 38 MB
+# in 4 s at 173 MB.
+MAX_RECORD_BITS = 100_000_000
 
 
 class ChainFormatError(ValueError):
@@ -176,11 +181,10 @@ def umbra_step(
     by the edge weight.  Returns the next transient state vector and
     the mass absorbed during this round, keyed by absorbing state.
     Both sides drop all-zero polynomials, and the total mass of input
-    equals the total mass of the two outputs exactly.  Rows stay packed
-    (see `capchain.poly`) at one cell width per round, wide enough for
-    every landed cell: an edge is a shift, a split and a digit sum where
-    it clamps, and one multiply-add.  Rows of another width or
-    denominator are lifted and repacked first.
+    equals the total mass of the two outputs exactly.  The packed
+    arithmetic is `capchain.poly.scatter`, over the edge probabilities
+    as integers over their lcm; this function checks the input and
+    splits the landed rows into the two sides.
     """
     for src, poly in state_vector.items():
         if src not in chain.transient_set:
@@ -190,39 +194,10 @@ def umbra_step(
                 f"state {src!r}: polynomial support {poly.support} does not match "
                 f"chain support {chain.support}"
             )
-    rows = [(src, poly) for src, poly in state_vector.items() if not poly.is_zero]
-    # Rows are lifted to the lcm of their denominators and edge probabilities
-    # are integers over D, so the round is integer arithmetic over common * D.
-    common = lcm(*(poly._den for _, poly in rows))
     scale, plan = chain._scatter_plan
-    lo, hi = chain.support
-    width = hi - lo + 1
-    # No landed cell exceeds D times the lifted rows' summed bounds.  Past that
-    # the cell width grows by a quarter at least, so rows are repacked O(log M) times.
-    bound = scale * sum(poly._bound * (common // poly._den) for _, poly in rows)
-    bits = max((poly._bits for _, poly in rows), default=8)
-    if bound >> (bits - 1):
-        bits = _cell_bits(max(bound, 1 << bits * 5 // 4))
-    landed: dict[str, list[int]] = {}  # state -> [packed cells, offset, bound]
-    for src, poly in rows:
-        lift = common // poly._den
-        value, row_bound = poly._repacked(bits, lift), poly._bound * lift
-        for dst, numerator, weight in plan[src]:
-            # Scale and shift: the engine's hot path and only scatter.
-            term, at = _clamped(value, poly._offset, poly._span, bits, weight, width)
-            cell = landed.setdefault(dst, [0, at, 0])
-            if at < cell[1]:
-                cell[0], cell[1] = cell[0] << (cell[1] - at) * bits, at
-            cell[0] += term * numerator << (at - cell[1]) * bits
-            cell[2] += row_bound * numerator
-    denominator = common * scale
-    next_vector: StateVector = {}
-    absorbed: dict[str, CappedPolynomial] = {}
-    for state, (value, offset, cell_bound) in landed.items():
-        if value:
-            side = absorbed if state in chain.absorbing_set else next_vector
-            side[state] = CappedPolynomial._packed(lo, hi, value, offset, bits, denominator, cell_bound)
-    return next_vector, absorbed
+    landed = scatter(state_vector, plan, scale, chain.support)
+    absorbed = {state: landed.pop(state) for state in chain.absorbing if state in landed}
+    return landed, absorbed
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .chain import (
+    MAX_RECORD_BITS,
     MAX_ROUNDS,
     AbsorptionRecord,
     ChainFormatError,
@@ -35,6 +36,7 @@ from .chain import (
     run_absorption,
 )
 from .game import GameSpec, GameSpecError, builtin_game, compile_game, parse_game_spec
+from .poly import CappedPolynomial
 from .simulator import SimulationReport, simulate
 from .stats import (
     MAX_DIGITS,
@@ -145,6 +147,10 @@ def _analysis_report(
 ) -> Union[str, dict]:
     """The analyze report: text, or the JSON report dict."""
     as_json = config.format == "json"
+    rows = map(CappedPolynomial.stored_cells, record.absorbed.values()) if config.full_record else ()
+    size = sum(len(cells) * denominator.bit_length() for _, cells, denominator in rows)
+    if size > MAX_RECORD_BITS:
+        raise UsageError(f"the full record holds {size} cells x denominator bits, over the {MAX_RECORD_BITS} limit")
     if record.epsilon == 1:
         if not as_json:
             note = "no mass absorbed within the horizon; statistics undefined\n"

@@ -2,9 +2,9 @@
 
 Accumulated capital is tracked as the exponent of a formal variable t:
 the coefficient of t^j is the probability of holding exactly j units.
-Coefficients are exact rationals, integer numerators over one shared
-denominator, so no value is ever rounded; `Fraction`s are built only
-when read, at the record and report boundary.
+Coefficients are exact nonnegative rationals (a negative one is refused,
+a mass above 1 is not), integer numerators over one shared denominator,
+so no value is ever rounded; `Fraction`s are built only when read.
 
 Exponents live in a fixed window [support_min, support_max].  A shift
 that would push mass past either end of the window instead piles it up
@@ -12,12 +12,13 @@ on the boundary cell, which is exactly the "never below the floor" /
 "at least the cap" bookkeeping a capped game needs.
 
 The numerators are stored packed, by Kronecker substitution: the cells
-from the lowest to the highest nonzero one are the balanced base-2^B
+from the lowest to the highest nonzero one are the unsigned base-2^B
 digits of one int, kept with a cell offset, an unreduced denominator and
-a bound on the sum of |cells|.  B is a multiple of 8 with that bound
-below 2^(B-1), so sums of shifted multiples of rows within the bound never
-carry from cell to cell, and a run of cells sums to its packed int modulo
-2^B - 1.  The reduced numerators are computed when first read.
+the exact unreduced mass, the sum of the cells.  B is a multiple of 8
+with that mass below 2^(B-1), so sums of shifted multiples of rows never
+carry from cell to cell, and a run of cells sums to its packed int
+modulo 2^B - 1.  Only this module knows the format: `scatter` is the
+engine's round and `CappedPolynomial.stored_cells` the read of a row.
 """
 
 from __future__ import annotations
@@ -25,34 +26,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 # Anything Fraction() accepts losslessly: 3, Fraction(1, 3), "1/3".
 RationalLike = Union[Fraction, int, str]
 
 
-def _cell_bits(bound: int) -> int:
-    """Smallest multiple of 8 bits whose balanced cells hold any sum of magnitude `bound`."""
-    return (bound.bit_length() + 8) // 8 * 8
-
-
-def _halves(cells: int, bits: int) -> int:
-    """The packed int with 2^(bits-1) in each of `cells` cells."""
-    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * cells, "little")
+def _cell_bits(mass: int) -> int:
+    """Smallest multiple of 8 bits above the bit length of `mass`, the sum of the cells."""
+    return (mass.bit_length() + 8) // 8 * 8
 
 
 def _pack(cells: Sequence[int], bits: int) -> int:
-    """sum(cell_i << bits*i); every |cell_i| must be below 2^(bits-1)."""
-    size, half = bits // 8, 1 << (bits - 1)
-    biased = b"".join((cell + half).to_bytes(size, "little") for cell in cells)
-    return int.from_bytes(biased, "little") - _halves(len(cells), bits)
-
-
-def _digit_sum(value: int, bits: int) -> int:
-    """Sum of the cells of a packed int: its residue mod 2^bits - 1, taken in balanced form."""
-    modulus = (1 << bits) - 1
-    total = value % modulus
-    return total - modulus if total > modulus >> 1 else total
+    """sum(cell_i << bits*i); every cell must lie in [0, 2^bits)."""
+    size = bits // 8
+    return int.from_bytes(b"".join(cell.to_bytes(size, "little") for cell in cells), "little")
 
 
 def _clamped(value: int, offset: int, span: int, bits: int, weight: int, width: int) -> tuple[int, int]:
@@ -60,21 +48,56 @@ def _clamped(value: int, offset: int, span: int, bits: int, weight: int, width: 
     start = offset + weight
     if 0 <= start and start + span <= width:
         return value, start
-    # The low `cut` cells: those landing below cell 0, or those staying at or below the cap.
-    cut = -start if start < 0 else max(width - start, 1)
-    if cut >= span:  # the whole row lands on one end cell
-        return _digit_sum(value, bits), 0 if start < 0 else width - 1
-    low = value & ((1 << cut * bits) - 1)
-    if low >> (cut * bits - 1):  # the balanced value of the low cells is negative
-        low -= 1 << cut * bits
-    high = (value - low) >> cut * bits
+    # The low `cut` cells, at most all: those landing below cell 0, or those staying at or below the cap.
+    cut = min(-start if start < 0 else max(width - start, 1), span)
+    low, high = value & ((1 << cut * bits) - 1), value >> cut * bits
+    modulus = (1 << bits) - 1  # a run of cells sums to its residue
     if start < 0:
-        return high + _digit_sum(low, bits), 0
-    return low + (_digit_sum(high, bits) << (cut - 1) * bits), width - cut
+        return high + low % modulus, 0
+    return low + (high % modulus << (cut - 1) * bits), width - cut
+
+
+def scatter(rows: Mapping, moves: Mapping, scale: int, support: tuple[int, int]) -> dict:
+    """One exact round: each target -> the sum of the rows moved to it, never zero.
+
+    `rows` maps sources to polynomials on the `support` window, zero rows
+    skipped; `moves[source]` lists (target, numerator, weight): the row
+    times numerator / `scale`, shifted by `weight` with clamping.  Rows are
+    lifted to the lcm of their denominators, so the round is integer
+    arithmetic at one cell width that holds its whole mass: a move is a
+    shift, a split and a residue where it clamps, and a multiply-add.
+    """
+    live = [(src, poly) for src, poly in rows.items() if not poly.is_zero]
+    common = lcm(*(poly._den for _, poly in live))
+    lo, hi = support
+    width = hi - lo + 1
+    # No landed cell exceeds the round's lifted mass; past the current width the
+    # width grows by a quarter at least, so rows are repacked O(log M) times.
+    bound = scale * sum(poly._mass * (common // poly._den) for _, poly in live)
+    bits = max((poly._bits for _, poly in live), default=8)
+    if bound >> (bits - 1):
+        bits = _cell_bits(max(bound, 1 << bits * 5 // 4))
+    landed: dict = {}  # target -> [packed cells, offset, mass]
+    for src, poly in live:
+        lift = common // poly._den
+        mass = poly._mass * lift
+        value = poly._value * lift if bits == poly._bits else _pack([n * lift for n in poly.stored_cells()[1]], bits)
+        for dst, numerator, weight in moves[src]:
+            # Scale and shift: the engine's hot path and only scatter.
+            term, at = _clamped(value, poly._offset, poly._span, bits, weight, width)
+            cell = landed.setdefault(dst, [0, at, 0])
+            if at < cell[1]:
+                cell[0], cell[1] = cell[0] << (cell[1] - at) * bits, at
+            cell[0] += term * numerator << (at - cell[1]) * bits
+            cell[2] += mass * numerator
+    return {
+        dst: CappedPolynomial._packed(lo, hi, value, offset, bits, common * scale, mass)
+        for dst, (value, offset, mass) in landed.items()
+    }
 
 
 class CappedPolynomial:
-    """Polynomial in t with exact rational coefficients on a fixed exponent window.
+    """Polynomial in t with exact nonnegative rational coefficients on a fixed exponent window.
 
     Coefficient j is `numerators[j] / denominator`, reduced by the gcd of all of them
     (zero has denominator 1): the pair is unique, so equality and hashing compare it.
@@ -96,40 +119,35 @@ class CappedPolynomial:
         vars(self).update(vars(self._from_numerators(support_min, support_max, numerators, denominator)))
 
     @classmethod
-    def _packed(cls, support_min, support_max, value, offset, bits, denominator, bound):
-        """Wrap packed cells from `offset` on whose |cells| sum to at most `bound` < 2^(bits-1)."""
-        if value and not value & ((1 << bits) - 1):  # drop zero cells below the lowest nonzero one
-            skip = ((value & -value).bit_length() - 1) // bits
-            value, offset = value >> skip * bits, offset + skip
+    def _packed(cls, support_min, support_max, value, offset, bits, denominator, mass):
+        """Wrap packed cells from `offset` on, summing to `mass` < 2^(bits-1), the lowest nonzero unless all are."""
         poly = cls.__new__(cls)
         vars(poly).update(support_min=support_min, support_max=support_max, _value=value, _offset=offset,
                           _span=value.bit_length() // bits + 1 if value else 0, _bits=bits,
-                          _den=denominator, _bound=bound)
+                          _den=denominator, _mass=mass)
         return poly
 
     @classmethod
     def _from_numerators(cls, support_min, support_max, numerators, denominator, offset=0):
-        """Wrap `numerators / denominator` (cells from `offset` on, denominator > 0)."""
-        bits = _cell_bits(bound := sum(map(abs, numerators)))
-        return cls._packed(support_min, support_max, _pack(numerators, bits), offset, bits, denominator, bound)
+        """Wrap `numerators / denominator` (cells from `offset` on, denominator > 0); refuse a negative one."""
+        if min(numerators, default=0) < 0:
+            raise ValueError("coefficients must be nonnegative")
+        skip = next((i for i, n in enumerate(numerators) if n), 0)
+        bits = _cell_bits(mass := sum(numerators))
+        value = _pack(numerators[skip:], bits)
+        return cls._packed(support_min, support_max, value, offset + skip, bits, denominator, mass)
 
-    def _raw_cells(self) -> tuple[int, list[int], int]:
-        """(exponent of the first stored cell, the stored numerators, the unreduced denominator)."""
-        size, half, span = self._bits // 8, 1 << (self._bits - 1), self._span
-        data = (self._value + _halves(span, self._bits)).to_bytes(span * size, "little")
-        cells = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, span * size, size)]
+    def stored_cells(self) -> tuple[int, list[int], int]:
+        """(exponent of the lowest nonzero cell, the numerators up to the highest, their unreduced denominator)."""
+        size, span = self._bits // 8, self._span
+        data = self._value.to_bytes(span * size, "little")
+        cells = [int.from_bytes(data[i : i + size], "little") for i in range(0, span * size, size)]
         return self.support_min + self._offset, cells, self._den
-
-    def _repacked(self, bits: int, lift: int) -> int:
-        """The stored cells times `lift`, packed `bits` wide."""
-        if bits == self._bits and lift == 1:
-            return self._value
-        return _pack([n * lift for n in self._raw_cells()[1]], bits)
 
     @cached_property
     def _reduced(self) -> tuple[tuple[int, ...], int]:
         """The stored numerators and the denominator, divided by their gcd."""
-        _, cells, denominator = self._raw_cells()
+        _, cells, denominator = self.stored_cells()
         common = gcd(*cells, denominator)
         return tuple(n // common for n in cells), denominator // common
 
@@ -186,14 +204,14 @@ class CappedPolynomial:
                 yield exponent, Fraction(numerator, denominator)
 
     def scale(self, factor: RationalLike) -> "CappedPolynomial":
-        """Multiply every coefficient by an exact rational factor."""
+        """Multiply every coefficient by an exact nonnegative rational factor."""
         f = Fraction(factor)
-        numerators = [n * f.numerator for n in self._raw_cells()[1]]
+        numerators = [n * f.numerator for n in self.stored_cells()[1]]
         return self._from_numerators(*self.support, numerators, self._den * f.denominator, self._offset)
 
     def mass(self) -> Fraction:
         """Exact sum of all coefficients, i.e. the value at t = 1."""
-        return Fraction(_digit_sum(self._value, self._bits), self._den)
+        return Fraction(self._mass, self._den)
 
     def __str__(self) -> str:
         parts = [f"{coeff}*t^{exponent}" for exponent, coeff in self.terms()]

@@ -102,7 +102,7 @@ def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
     capital: dict[int, int] = {}
     sums = [0] * 6  # round marginal power sums of orders 0..4, then the cross sum
     for (round_index, _), poly in record.absorbed.items():
-        first, cells, denominator = poly._raw_cells()
+        first, cells, denominator = poly.stored_cells()
         step = denominator // gcd(common, denominator)
         if step > 1:
             common *= step

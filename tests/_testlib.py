@@ -22,17 +22,12 @@ def unit_fractions(max_denominator: int = 8):
     return st.fractions(min_value=0, max_value=1, max_denominator=max_denominator)
 
 
-def signed_fractions(max_denominator: int = 8):
-    return st.fractions(min_value=-2, max_value=2, max_denominator=max_denominator)
-
-
 @st.composite
-def capped_polynomials(draw, min_lo: int = -4, max_hi: int = 8, signed: bool = False):
+def capped_polynomials(draw, min_lo: int = -4, max_hi: int = 8):
     lo = draw(st.integers(min_lo, max_hi - 1))
     hi = draw(st.integers(lo, max_hi))
     width = hi - lo + 1
-    cells = signed_fractions() if signed else unit_fractions()
-    coeffs = draw(st.lists(cells, min_size=width, max_size=width))
+    coeffs = draw(st.lists(unit_fractions(), min_size=width, max_size=width))
     return CappedPolynomial(lo, hi, tuple(coeffs))
 
 

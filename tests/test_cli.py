@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from capchain import (
     summarize,
 )
 from capchain import cli
-from capchain.chain import MAX_DENOMINATOR_BITS, MAX_ROUNDS, MAX_WINDOW
+from capchain.chain import MAX_DENOMINATOR_BITS, MAX_RECORD_BITS, MAX_ROUNDS, MAX_WINDOW
 from capchain.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -306,6 +309,41 @@ def test_fractions_past_the_int_digit_limit_render(tmp_path, capsys, full_record
     document = json.loads(out)
     assert Fraction(document["epsilon"]["fraction"]) == Fraction(99999, 100000) ** 450
     assert len(document.get("record", [])) == (450 if full_record else 0)
+
+
+# A walk whose rows spread over a 10000-cell window: its record at M = 1000
+# sums to 3.3e9 cell bits, and printing it used to pass 2 GB.  The run itself
+# needs about 450 MB; the child gets 1.5 GB of address space and two minutes,
+# so an engine without the limit fails here instead of exhausting memory.
+def test_full_record_over_the_limit_is_a_usage_error(tmp_path):
+    walk = {
+        "transient": ["a"],
+        "absorbing": ["z"],
+        "support": {"min": -5000, "max": 4999},
+        "edges": [
+            {"src": "a", "dst": "a", "prob": "1/2", "weight": 3},
+            {"src": "a", "dst": "a", "prob": "1/4", "weight": -2},
+            {"src": "a", "dst": "z", "prob": "1/4", "weight": 0},
+        ],
+    }
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps(walk))
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+        "from capchain.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, "analyze", str(path), "-M", "1000", "--format", "json", "--full-record"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.startswith("error: the full record holds ")
+    assert proc.stderr.endswith(f" cells x denominator bits, over the {MAX_RECORD_BITS} limit\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])

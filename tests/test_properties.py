@@ -77,7 +77,7 @@ def test_step_commutes_with_scaling(drawn, factor):
 
 
 @settings(deadline=None, max_examples=100)
-@given(capped_polynomials(signed=False), st.integers(min_value=-12, max_value=12))
+@given(capped_polynomials(), st.integers(min_value=-12, max_value=12))
 def test_clamped_shift_conserves_mass(poly, delta):
     assert clamped_shift(poly, delta).mass() == poly.mass()
 

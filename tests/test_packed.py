@@ -56,18 +56,23 @@ def test_step_of_mixed_signed_rows_matches_the_oracle(pair):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
-def test_cells_at_the_edge_of_their_width_survive_a_wider_round(k):
+@pytest.mark.parametrize("end", [1, -1])
+def test_cells_at_the_edge_of_their_width_survive_a_wider_round(k, end):
     # A row whose one nonzero cell is 2^(8k-1) - 1 is packed exactly 8k bits
     # wide; several of them, scattered over probabilities of denominator
     # 1000, need a wider round than any of them.  The clamped edges push the
-    # alternating row's cells past both the floor and the cap.
+    # alternating row's cells past both the floor and the cap.  end = -1
+    # mirrors the rows: "single" at the cap, "top" at the floor, and the
+    # alternating row on the odd cells.
     extreme = 2 ** (8 * k - 1) - 1
     lo, hi = -2, 3
     width = hi - lo + 1
+    first, last = (lo, hi) if end == 1 else (hi, lo)
+    odd = end == -1
     rows = {
-        "single": CappedPolynomial.monomial(lo, extreme, lo, hi),
-        "top": CappedPolynomial.monomial(hi, extreme, lo, hi),
-        "alternating": CappedPolynomial(lo, hi, [extreme * (i % 2 == 0) for i in range(width)]),
+        "single": CappedPolynomial.monomial(first, extreme, lo, hi),
+        "top": CappedPolynomial.monomial(last, extreme, lo, hi),
+        "alternating": CappedPolynomial(lo, hi, [extreme * (i % 2 == odd) for i in range(width)]),
     }
     edges = [
         Edge(src, dst, Fraction(n, 1000), weight)

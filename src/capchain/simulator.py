@@ -16,16 +16,17 @@ order-fixed.
 There are two ways to play.  `play_once` takes one game through the
 public `SplitMix64` and the move table; it is the replay path, and
 `play_once(spec, SplitMix64.stream(seed, t), round_cap)` reproduces
-trial t of any batch bit for bit.  `simulate` plays a whole batch with
-the generator inlined and the rules flattened into one step table over
-(square, spin outcome), so a round is a draw, one list lookup and the
-chick clamp; the tests hold the two to equal reports.  The table has
-one entry per square and outcome, so memory stays proportional to the
-board however long it is.
+trial t of any batch bit for bit.  `simulate` plays LANES trials in
+lockstep, each lane's generator state a 128-bit slot of one packed int,
+so one pass of big-int arithmetic draws for every lane (SIMD within a
+register); each live lane then reads one step table over (square, spin
+outcome), whose size is proportional to the board however long it is.
+The tests hold the two to equal reports.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from math import sqrt
 from typing import Optional
@@ -36,6 +37,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+LANES = 512  # trials `simulate` plays in lockstep
 
 
 def mix64(value: int) -> int:
@@ -181,6 +183,25 @@ def _step_table(spec: GameSpec) -> list[tuple[int, int]]:
     return table
 
 
+def _lanes(count: int, limit: int) -> tuple[int, int, int, int, struct.Struct]:
+    """Constants for `count` lanes packed into one int, 128 bits a lane.
+
+    A lane's 64-bit state leaves the slot's high half free for the
+    mixer's 64x64-bit products, so no carry crosses into the next slot.
+    Returns `rep` (1 in every slot), `rep` times the 64-bit mask, the
+    golden step, 2**64 - limit, and the codec of the slots' low halves.
+    """
+    rep = int.from_bytes((b"\1" + bytes(15)) * count, "little")
+    return rep, rep * _MASK, rep * _GOLDEN, rep * (_MASK + 1 - limit), struct.Struct("<" + "Q8x" * count)
+
+
+def _mix_lanes(value: int, m64: int) -> int:
+    """mix64 applied to every slot of a packed int at once."""
+    value = ((value ^ (value >> 30)) & m64) * _MIX1 & m64
+    value = ((value ^ (value >> 27)) & m64) * _MIX2 & m64
+    return value ^ ((value >> 31) & m64)
+
+
 def simulate(
     spec: GameSpec, trials: int, seed: int, round_cap: int = 600
 ) -> SimulationReport:
@@ -189,10 +210,13 @@ def simulate(
     Trial t draws from SplitMix64.stream(seed, t), so the report is a
     pure function of (spec, trials, seed, round_cap) regardless of
     execution order, and `play_once(spec, SplitMix64.stream(seed, t),
-    round_cap)` replays trial t exactly.  The loop below is that replay
-    with the generator inlined and the rules read from `_step_table`.
-    All accumulators are exact integers; floats appear only in the
-    final division.
+    round_cap)` replays trial t exactly.  Trials play LANES at a time in
+    lockstep: one pass of `_mix_lanes` draws for every lane, one carry
+    test finds the draws at or above the rejection limit, and the game
+    step runs per live lane on `_step_table`.  Once half the slots or
+    fewer are live, the live lanes are repacked into a narrower int, so
+    the packed work follows the live lanes.  All accumulators are exact
+    integers; floats appear only in the final division.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -200,32 +224,43 @@ def simulate(
     faces = len(spec.animals) + 1
     cap = spec.win_threshold
     limit = _rejection_limit(faces)
-    mask, golden, mix1, mix2 = _MASK, _GOLDEN, _MIX1, _MIX2  # locals: read once per draw
     outcomes: dict[tuple[int, int], int] = {}
-    censored = 0
-    for index in range(trials):
-        state = mix64((seed + index * golden) & mask)  # SplitMix64.stream(seed, index)
-        row = chicks = rounds = 0
-        while rounds < round_cap:
-            state = (state + golden) & mask
-            value = ((state ^ (state >> 30)) * mix1) & mask
-            value = ((value ^ (value >> 27)) * mix2) & mask
-            value ^= value >> 31
-            if value >= limit:
-                continue  # rejected: the stream advances, the round does not
-            rounds += 1
-            row, change = table[row + value % faces]
-            chicks += change
-            if chicks > cap:
-                chicks = cap
-            elif chicks < 0:
-                chicks = 0
-            if row < 0:
-                key = (rounds, chicks)
-                outcomes[key] = outcomes.get(key, 0) + 1
-                break
-        else:
-            censored += 1
+    censored = 0 if round_cap > 0 else trials  # a cap below one spin censors every trial
+    for first in range(0, trials if round_cap > 0 else 0, LANES):
+        width = min(LANES, trials - first)
+        rep, m64, step, reject, codec = _lanes(width, limit)
+        ramp = int.from_bytes(codec.pack(*range(width)), "little")  # lane i: stream first + i
+        state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp * _GOLDEN) & m64, m64)
+        live = [(lane, 0, 0, 0) for lane in range(width)]  # (lane, row, chicks, rounds)
+        while live:
+            if 2 * len(live) <= width:
+                states = codec.unpack(state.to_bytes(16 * width, "little"))
+                width = len(live)
+                rep, m64, step, reject, codec = _lanes(width, limit)
+                state = int.from_bytes(codec.pack(*[states[lane] for lane, *_ in live]), "little")
+                live = [(lane, *rest) for lane, (_, *rest) in enumerate(live)]
+            state = (state + step) & m64
+            value = _mix_lanes(state, m64)
+            values = codec.unpack(value.to_bytes(16 * width, "little"))
+            stepping, live = live, []
+            if (value + reject) >> 64 & rep:  # rejected: the stream advances, the round does not
+                live = [item for item in stepping if values[item[0]] >= limit]
+                stepping = [item for item in stepping if values[item[0]] < limit]
+            for lane, row, chicks, rounds in stepping:
+                rounds += 1
+                row, change = table[row + values[lane] % faces]
+                chicks += change
+                if chicks > cap:
+                    chicks = cap
+                elif chicks < 0:
+                    chicks = 0
+                if row < 0:
+                    key = (rounds, chicks)
+                    outcomes[key] = outcomes.get(key, 0) + 1
+                elif rounds < round_cap:
+                    live.append((lane, row, chicks, rounds))
+                else:
+                    censored += 1
 
     chick_histogram: dict[int, int] = {}
     rounds_histogram: dict[int, int] = {}

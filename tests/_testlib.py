@@ -4,16 +4,27 @@ The hypothesis strategies build package objects (they only generate
 inputs); the adapters translate between package objects and the plain
 dicts the independent oracle in _oracle.py speaks; the record helpers
 recompute polynomial sums and marginals from `.coeffs` alone, so tests
-can check the package against them.
+can check the package against them; `fold_single_plays` is the report
+`simulate` should give, built from `play_once`; the chi-square helpers
+compare a histogram with exact probabilities.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from capchain import CappedPolynomial, Edge, WeightedMarkovChain, umbra_step
+from capchain import (
+    CappedPolynomial,
+    Edge,
+    SimulationReport,
+    SplitMix64,
+    WeightedMarkovChain,
+    play_once,
+    umbra_step,
+)
 
 from _oracle import brute_force_record
 
@@ -177,3 +188,104 @@ def marginal_rounds(record) -> dict[int, Fraction]:
 
 def total_absorbed_mass(record) -> Fraction:
     return sum((sum(poly.coeffs) for poly in record.absorbed.values()), Fraction(0))
+
+
+def fold_single_plays(spec, trials, seed, round_cap):
+    """The report `simulate` should give, folded from one play_once per trial."""
+    results = []
+    for index in range(trials):
+        result = play_once(spec, SplitMix64.stream(seed, index), round_cap)
+        if result is not None:
+            results.append(result)
+    n = len(results)
+    chick_histogram: dict[int, int] = {}
+    rounds_histogram: dict[int, int] = {}
+    for rounds, chicks in results:
+        chick_histogram[chicks] = chick_histogram.get(chicks, 0) + 1
+        rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + 1
+    chick_mean = chick_variance = rounds_mean = rounds_variance = correlation = None
+    if n:
+        sum_c = sum(chicks for _, chicks in results)
+        sum_r = sum(rounds for rounds, _ in results)
+        sum_cc = sum(chicks * chicks for _, chicks in results)
+        sum_rr = sum(rounds * rounds for rounds, _ in results)
+        sum_rc = sum(rounds * chicks for rounds, chicks in results)
+        chick_mean = sum_c / n
+        chick_variance = (sum_cc * n - sum_c * sum_c) / (n * n)
+        rounds_mean = sum_r / n
+        rounds_variance = (sum_rr * n - sum_r * sum_r) / (n * n)
+        if chick_variance > 0 and rounds_variance > 0:
+            covariance = (sum_rc * n - sum_r * sum_c) / (n * n)
+            correlation = covariance / math.sqrt(chick_variance * rounds_variance)
+    return SimulationReport(
+        trials=trials,
+        seed=seed,
+        round_cap=round_cap,
+        censored=trials - n,
+        wins=chick_histogram.get(spec.win_threshold, 0),
+        chick_mean=chick_mean,
+        chick_variance=chick_variance,
+        rounds_mean=rounds_mean,
+        rounds_variance=rounds_variance,
+        correlation=correlation,
+        chick_histogram=chick_histogram,
+        rounds_histogram=rounds_histogram,
+    )
+
+
+def pooled_cells(histogram: dict[int, int], probabilities: dict[int, Fraction], minimum: int = 5):
+    """(expected, observed) cells over sorted values, the tails pooled inward.
+
+    Expected counts are exact: probability times the histogram's total.
+    A value missing from either side counts 0 there.  The first cell is
+    merged into its neighbour while it expects fewer than `minimum`,
+    then the last cell likewise.
+    """
+    total = sum(histogram.values())
+    cells = [
+        [probabilities.get(value, Fraction(0)) * total, histogram.get(value, 0)]
+        for value in sorted(set(histogram) | set(probabilities))
+    ]
+    for end in (0, -1):
+        while len(cells) > 1 and cells[end][0] < minimum:
+            expected, observed = cells.pop(end)
+            cells[end][0] += expected
+            cells[end][1] += observed
+    return cells
+
+
+def chi_square_upper_tail(statistic: float, dof: int) -> float:
+    """P(X >= statistic) for X chi-square with `dof` degrees of freedom.
+
+    This is the regularized upper incomplete gamma Q(dof/2, statistic/2):
+    below a + 1 by the power series of the lower tail P = 1 - Q, above it
+    by the continued fraction of Q (modified Lentz), as in Press et al.,
+    Numerical Recipes, section 6.2.
+    """
+    a, x = dof / 2, statistic / 2
+    if x <= 0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        for n in range(1, 10_000):
+            term *= x / (a + n)
+            total += term
+            if term < total * 1e-16:
+                break
+        return 1 - front * total
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    fraction = d
+    for n in range(1, 10_000):
+        coefficient = -n * (n - a)
+        b += 2
+        d = coefficient * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + coefficient / c
+        c = c if abs(c) > tiny else tiny
+        fraction *= c * d
+        if abs(c * d - 1) < 1e-15:
+            break
+    return front * fraction

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from capchain import builtin_game, run_absorption, simulate, summarize, umbra_step
 from capchain.poly import CappedPolynomial
+from capchain.simulator import LANES
 
 from _testlib import (
     add_polys,
     capped_polynomials,
     chain_and_vector,
     clamped_shift,
+    fold_single_plays,
     small_chains,
     unit_fractions,
 )
@@ -100,15 +102,19 @@ def test_covariance_obeys_cauchy_schwarz(chain, rounds):
     assert stats.covariance**2 <= stats.chick_variance * stats.rounds_variance
 
 
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=20)
 @given(
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=1, max_value=40),
+    st.sampled_from(["simplified", "full"]),
+    st.integers(min_value=0, max_value=2**65 - 1),
+    st.integers(min_value=1, max_value=2 * LANES + 3),
+    st.sampled_from([5, 200]),
 )
-def test_simulation_is_deterministic(seed, trials):
-    spec = builtin_game("simplified")
-    assert simulate(spec, trials, seed, round_cap=200) == simulate(
-        spec, trials, seed, round_cap=200
+def test_simulate_equals_a_fold_of_single_plays(name, seed, trials, round_cap):
+    # Batches of LANES lanes, repacked as they finish, against one
+    # play_once per trial.
+    spec = builtin_game(name)
+    assert simulate(spec, trials, seed, round_cap) == fold_single_plays(
+        spec, trials, seed, round_cap
     )
 
 

@@ -8,7 +8,6 @@ import pytest
 from capchain import (
     GameSpec,
     GameSpecError,
-    SimulationReport,
     SplitMix64,
     builtin_game,
     compile_game,
@@ -18,8 +17,16 @@ from capchain import (
     simulate,
     summarize,
 )
+from capchain.simulator import LANES
 
 from _oracle import longest_animal_only_path
+from _testlib import (
+    chi_square_upper_tail,
+    fold_single_plays,
+    marginal_capital,
+    marginal_rounds,
+    pooled_cells,
+)
 
 
 class FoxOnly:
@@ -58,49 +65,6 @@ def unmix64(value):
     value = (value * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK
     value ^= (value >> 30) ^ (value >> 60)
     return value
-
-
-def fold_single_plays(spec, trials, seed, round_cap):
-    """The report `simulate` should give, folded from one play_once per trial."""
-    results = []
-    for index in range(trials):
-        result = play_once(spec, SplitMix64.stream(seed, index), round_cap)
-        if result is not None:
-            results.append(result)
-    n = len(results)
-    chick_histogram: dict[int, int] = {}
-    rounds_histogram: dict[int, int] = {}
-    for rounds, chicks in results:
-        chick_histogram[chicks] = chick_histogram.get(chicks, 0) + 1
-        rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + 1
-    chick_mean = chick_variance = rounds_mean = rounds_variance = correlation = None
-    if n:
-        sum_c = sum(chicks for _, chicks in results)
-        sum_r = sum(rounds for rounds, _ in results)
-        sum_cc = sum(chicks * chicks for _, chicks in results)
-        sum_rr = sum(rounds * rounds for rounds, _ in results)
-        sum_rc = sum(rounds * chicks for rounds, chicks in results)
-        chick_mean = sum_c / n
-        chick_variance = (sum_cc * n - sum_c * sum_c) / (n * n)
-        rounds_mean = sum_r / n
-        rounds_variance = (sum_rr * n - sum_r * sum_r) / (n * n)
-        if chick_variance > 0 and rounds_variance > 0:
-            covariance = (sum_rc * n - sum_r * sum_c) / (n * n)
-            correlation = covariance / math.sqrt(chick_variance * rounds_variance)
-    return SimulationReport(
-        trials=trials,
-        seed=seed,
-        round_cap=round_cap,
-        censored=trials - n,
-        wins=chick_histogram.get(spec.win_threshold, 0),
-        chick_mean=chick_mean,
-        chick_variance=chick_variance,
-        rounds_mean=rounds_mean,
-        rounds_variance=rounds_variance,
-        correlation=correlation,
-        chick_histogram=chick_histogram,
-        rounds_histogram=rounds_histogram,
-    )
 
 
 def oracle_moves(spec):
@@ -234,6 +198,44 @@ def test_a_rejected_draw_advances_the_stream_but_not_the_round():
     assert report == fold_single_plays(spec, 40, seed, 600)
 
 
+def test_a_rejection_in_a_later_batch_mid_game_is_redrawn():
+    # Pick the seed whose trial LANES + 3, in the second batch, draws
+    # 2**64 - 1 on its 5th draw, after four rounds that do not finish
+    # its game.
+    golden = 0x9E3779B97F4A7C15
+    trial = LANES + 3
+    start = (unmix64(_MASK) - 5 * golden) & _MASK
+    seed = (unmix64(start) - trial * golden) & _MASK
+    rng = SplitMix64.stream(seed, trial)
+    assert [rng.next_u64() for _ in range(5)][-1] == _MASK
+    spec = builtin_game("full")
+    assert play_once(spec, SplitMix64.stream(seed, trial), round_cap=4) is None
+    report = simulate(spec, LANES + 10, seed)
+    assert report == fold_single_plays(spec, LANES + 10, seed, 600)
+
+
+@pytest.mark.parametrize("trials", [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3])
+@pytest.mark.parametrize("name", ["simplified", "full"])
+def test_batch_edges_equal_a_fold_of_single_plays(name, trials):
+    spec = builtin_game(name)
+    assert simulate(spec, trials, 11) == fold_single_plays(spec, trials, 11, 600)
+
+
+# 61 animal moves with the fox up half the time: games take 95 to 165
+# rounds, so each batch repacks as its lanes finish.  A cap of 130 comes
+# after the first repack of every batch and censors about a quarter of
+# the lanes; a cap of 100000 censors none.
+@pytest.mark.parametrize("round_cap", [130, 100_000])
+def test_a_long_tailed_board_equals_a_fold_of_single_plays(round_cap):
+    spec = GameSpec(
+        animals=("a",), squares=("0",) + ("a",) * 60 + ("*",), blue=(), win_threshold=61
+    )
+    trials = 2 * LANES + 3
+    report = simulate(spec, trials, 5, round_cap)
+    assert report == fold_single_plays(spec, trials, 5, round_cap)
+    assert (report.censored > 0) == (round_cap == 130)
+
+
 def test_simulate_memory_grows_with_the_board_not_with_board_times_cap():
     # One animal on each of 3000 squares, a cap of 3000 chicks: a table over
     # (square, chicks) would hold 18 million entries, one over squares 6000.
@@ -320,3 +322,37 @@ def test_empirical_statistics_agree_with_exact_engine():
     rounds_mean = float(stats.rounds_mean)
     rounds_se = math.sqrt(float(stats.rounds_variance) / trials)
     assert abs(report.rounds_mean - rounds_mean) <= 4 * rounds_se
+
+
+def test_chi_square_upper_tail_matches_known_quantiles():
+    # (degrees of freedom, quantile, upper-tail probability) from tables.
+    for dof, quantile, tail in [
+        (1, 3.8414588206941285, 0.05),
+        (2, 9.210340371976182, 0.01),
+        (7, 0.598493752375376, 0.999),
+        (10, 18.30703805327515, 0.05),
+        (30, 20.599234614585345, 0.9),
+        (60, 127.0963602497362, 1e-6),
+        (100, 124.34211340400408, 0.05),
+    ]:
+        assert chi_square_upper_tail(quantile, dof) == pytest.approx(tail, rel=1e-9)
+    assert chi_square_upper_tail(0.0, 4) == 1.0
+
+
+def test_simulated_histograms_fit_the_exact_distribution(full_game, full_record_60):
+    # Chi-square goodness of fit of one million trials against the exact
+    # M=60 conditional record; seed, trial count and the p < 1e-6 failure
+    # threshold were fixed before the first run.
+    exact = full_record_60.conditional()
+    capital = marginal_capital(exact)
+    lo, _ = capital.support
+    report = simulate(full_game, 1_000_000, seed=1)
+    for histogram, probabilities in [
+        (report.chick_histogram, {lo + k: p for k, p in enumerate(capital.coeffs)}),
+        (report.rounds_histogram, marginal_rounds(exact)),
+    ]:
+        cells = pooled_cells(histogram, probabilities)
+        assert all(expected >= 5 for expected, _ in cells)
+        statistic = float(sum((observed - expected) ** 2 / expected for expected, observed in cells))
+        p_value = chi_square_upper_tail(statistic, len(cells) - 1)
+        assert p_value >= 1e-6, (statistic, len(cells) - 1, p_value)

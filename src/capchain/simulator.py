@@ -8,10 +8,8 @@ The generator is SplitMix64: a counter bumped by a fixed odd constant,
 output through an avalanching bit mixer.  The whole algorithm is a
 dozen lines and lives here, so a given (seed, trials) reproduces
 bit-for-bit on every platform and Python version.  Each trial mixes
-its own stream out of (seed, trial index); results therefore do not
-depend on how trials might be batched across workers, and the
-reduction (exact integer sums, converted to float once at the end) is
-order-fixed.
+its own stream out of (seed, trial index), so results do not depend
+on how trials are batched, and the reduction is exact until the end.
 
 There are two ways to play.  `play_once` takes one game through the
 public `SplitMix64` and the move table; it is the replay path, and
@@ -19,8 +17,7 @@ public `SplitMix64` and the move table; it is the replay path, and
 trial t of any batch bit for bit.  `simulate` plays LANES trials in
 lockstep, each lane's generator state a 128-bit slot of one packed int,
 so one pass of big-int arithmetic draws for every lane (SIMD within a
-register); each live lane then reads one step table over (square, spin
-outcome), whose size is proportional to the board however long it is.
+register); a live lane's step is then two lookups, sized by the board.
 The tests hold the two to equal reports.
 """
 
@@ -28,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cache
 from math import sqrt
 from typing import Optional
 
@@ -48,10 +46,7 @@ def mix64(value: int) -> int:
 
 
 def _rejection_limit(bound: int) -> int:
-    """Largest multiple of bound that fits in 64 bits.
-
-    Draws at or above it would favor small residues, so they are redrawn.
-    """
+    """Largest multiple of bound within 2**64; draws at or above it are redrawn."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     return _MASK + 1 - (_MASK + 1) % bound
@@ -121,10 +116,8 @@ class SimulationReport:
     """Empirical outcome of a seeded batch of plays.
 
     Histograms and moments cover completed trials; a censored trial
-    (round cap hit) has no final capital to record, so it only bumps
-    `censored`.  Histogram counts therefore sum to trials − censored,
-    which is simply `trials` at any sane round cap.  Moment fields are
-    None in the degenerate case where every trial was censored.
+    (round cap hit) has no final capital, so it only bumps `censored`.
+    Moment fields are None when every trial was censored.
     """
 
     trials: int
@@ -166,33 +159,31 @@ class SimulationReport:
 def _step_table(spec: GameSpec) -> list[tuple[int, int]]:
     """The move table as one flat list over (square, spin outcome).
 
-    Row `slot * faces` stands for the slot-th square of `spec.moves`
-    (the start is row 0); adding a spin outcome indexes that spin's
-    (next row, chick change): the fox stays put at a change of -1, an
-    animal moves with its chick gain, and a move reaching the terminal
-    has next row -1.  One entry per square and outcome, like the move
-    table itself; the chick floor and cap are applied by the caller.
+    Row `slot * faces` is the slot-th square of `spec.moves` (the start is
+    row 0); adding a spin outcome gives (next row, chick change): the fox
+    stays put at -1, and a move reaching the terminal has next row -1.
     """
     faces = len(spec.animals) + 1
-    slot = {square: position for position, square in enumerate(spec.moves)}
+    row = {square: slot * faces for slot, square in enumerate(spec.moves)}
+    row[spec.terminal_square] = -1
     table: list[tuple[int, int]] = []
     for square, moves in spec.moves.items():
-        table.append((slot[square] * faces, -1))
+        table.append((row[square], -1))
         for target, gain in moves:
-            table.append((-1 if target == spec.terminal_square else slot[target] * faces, gain))
+            table.append((row[target], gain))
     return table
 
 
-def _lanes(count: int, limit: int) -> tuple[int, int, int, int, struct.Struct]:
+@cache  # simulate asks for powers of two up to LANES, each built on first use
+def _lanes(count: int) -> tuple[int, int, int, struct.Struct]:
     """Constants for `count` lanes packed into one int, 128 bits a lane.
 
-    A lane's 64-bit state leaves the slot's high half free for the
-    mixer's 64x64-bit products, so no carry crosses into the next slot.
     Returns `rep` (1 in every slot), `rep` times the 64-bit mask, the
-    golden step, 2**64 - limit, and the codec of the slots' low halves.
+    golden step, and the codec of the slots' low halves; the high halves
+    take the mixer's 64x64-bit products, so no carry crosses a slot.
     """
     rep = int.from_bytes((b"\1" + bytes(15)) * count, "little")
-    return rep, rep * _MASK, rep * _GOLDEN, rep * (_MASK + 1 - limit), struct.Struct("<" + "Q8x" * count)
+    return rep, rep * _MASK, rep * _GOLDEN, struct.Struct("<" + "Q8x" * count)
 
 
 def _mix_lanes(value: int, m64: int) -> int:
@@ -202,9 +193,7 @@ def _mix_lanes(value: int, m64: int) -> int:
     return value ^ ((value >> 31) & m64)
 
 
-def simulate(
-    spec: GameSpec, trials: int, seed: int, round_cap: int = 600
-) -> SimulationReport:
+def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> SimulationReport:
     """Play `trials` independent seeded games and reduce to a report.
 
     Trial t draws from SplitMix64.stream(seed, t), so the report is a
@@ -212,11 +201,11 @@ def simulate(
     execution order, and `play_once(spec, SplitMix64.stream(seed, t),
     round_cap)` replays trial t exactly.  Trials play LANES at a time in
     lockstep: one pass of `_mix_lanes` draws for every lane, one carry
-    test finds the draws at or above the rejection limit, and the game
-    step runs per live lane on `_step_table`.  Once half the slots or
-    fewer are live, the live lanes are repacked into a narrower int, so
-    the packed work follows the live lanes.  All accumulators are exact
-    integers; floats appear only in the final division.
+    test finds the rare draws at or above the rejection limit, and a live
+    lane steps by one lookup in `_step_table` and one in a clamp list.  A
+    lane's rounds are the batch's steps less its rejected draws, which a
+    dict counts.  Once half the slots or fewer are live, they are repacked
+    into the next power of two slots.  Floats appear only at the end.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -224,43 +213,54 @@ def simulate(
     faces = len(spec.animals) + 1
     cap = spec.win_threshold
     limit = _rejection_limit(faces)
+    # clamp[chicks + change] is in [0, cap]; -1 reads the last entry; a gain is at most cap + 1
+    clamp = [*range(cap + 1), *[cap] * (cap + 1), 0]
     outcomes: dict[tuple[int, int], int] = {}
     censored = 0 if round_cap > 0 else trials  # a cap below one spin censors every trial
     for first in range(0, trials if round_cap > 0 else 0, LANES):
-        width = min(LANES, trials - first)
-        rep, m64, step, reject, codec = _lanes(width, limit)
+        live = list(range(min(LANES, trials - first)))
+        rows, held = [0] * len(live), [0] * len(live)  # per lane: its row of `table`, its chicks
+        width = 1 << (len(live) - 1).bit_length()
+        rep, m64, step, codec = _lanes(width)
+        reject = rep * (_MASK + 1 - limit)
         ramp = int.from_bytes(codec.pack(*range(width)), "little")  # lane i: stream first + i
         state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp * _GOLDEN) & m64, m64)
-        live = [(lane, 0, 0, 0) for lane in range(width)]  # (lane, row, chicks, rounds)
+        rejected: dict[int, int] = {}  # lane: draws redrawn, so rounds = steps - these
+        steps = 0
         while live:
             if 2 * len(live) <= width:
                 states = codec.unpack(state.to_bytes(16 * width, "little"))
-                width = len(live)
-                rep, m64, step, reject, codec = _lanes(width, limit)
-                state = int.from_bytes(codec.pack(*[states[lane] for lane, *_ in live]), "little")
-                live = [(lane, *rest) for lane, (_, *rest) in enumerate(live)]
+                width = 1 << (len(live) - 1).bit_length()
+                rep, m64, step, codec = _lanes(width)
+                reject = rep * (_MASK + 1 - limit)
+                kept = [states[lane] for lane in live]
+                state = int.from_bytes(codec.pack(*kept, *[0] * (width - len(kept))), "little")
+                rows, held = [rows[lane] for lane in live], [held[lane] for lane in live]
+                rejected = {new: rejected[old] for new, old in enumerate(live) if old in rejected}
+                live = list(range(len(live)))
             state = (state + step) & m64
             value = _mix_lanes(state, m64)
             values = codec.unpack(value.to_bytes(16 * width, "little"))
+            steps += 1
             stepping, live = live, []
-            if (value + reject) >> 64 & rep:  # rejected: the stream advances, the round does not
-                live = [item for item in stepping if values[item[0]] >= limit]
-                stepping = [item for item in stepping if values[item[0]] < limit]
-            for lane, row, chicks, rounds in stepping:
-                rounds += 1
-                row, change = table[row + values[lane] % faces]
-                chicks += change
-                if chicks > cap:
-                    chicks = cap
-                elif chicks < 0:
-                    chicks = 0
+            if (value + reject) >> 64 & rep:  # a rejected lane's stream advances, its round does not
+                live = [lane for lane in stepping if values[lane] >= limit]
+                stepping = [lane for lane in stepping if values[lane] < limit]
+                for lane in live:
+                    rejected[lane] = rejected.get(lane, 0) + 1
+            for lane in stepping:
+                row, change = table[rows[lane] + values[lane] % faces]
+                held[lane] = clamp[held[lane] + change]
                 if row < 0:
-                    key = (rounds, chicks)
+                    key = (steps - rejected.get(lane, 0), held[lane])
                     outcomes[key] = outcomes.get(key, 0) + 1
-                elif rounds < round_cap:
-                    live.append((lane, row, chicks, rounds))
                 else:
-                    censored += 1
+                    rows[lane] = row
+                    live.append(lane)
+            if steps >= round_cap:  # no lane has played more rounds than the batch has steps
+                running = len(live)
+                live = [lane for lane in live if steps - rejected.get(lane, 0) < round_cap]
+                censored += running - len(live)
 
     chick_histogram: dict[int, int] = {}
     rounds_histogram: dict[int, int] = {}

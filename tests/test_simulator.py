@@ -1,7 +1,11 @@
 """Monte Carlo oracle: PRNG reference vectors, game play, batch reports."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from capchain import (
     simulate,
     summarize,
 )
+import capchain
 from capchain.simulator import LANES
 
 from _oracle import longest_animal_only_path
@@ -212,6 +217,51 @@ def test_a_rejection_in_a_later_batch_mid_game_is_redrawn():
     assert play_once(spec, SplitMix64.stream(seed, trial), round_cap=4) is None
     report = simulate(spec, LANES + 10, seed)
     assert report == fold_single_plays(spec, LANES + 10, seed, 600)
+
+
+# A lane's rounds are its batch's steps less its rejected draws.  Trial 0
+# of this seed redraws its first draw, so it finishes one step after its
+# round count r; caps of r - 1, r and r + 1 straddle that step.
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_a_rejection_before_the_round_cap_does_not_count_as_a_round(offset):
+    seed = 0xBE12FE39FBD63F3C
+    spec = builtin_game("full")
+    rounds, _ = play_once(spec, SplitMix64.stream(seed, 0))
+    round_cap = rounds + offset
+    assert simulate(spec, LANES + 3, seed, round_cap) == fold_single_plays(spec, LANES + 3, seed, round_cap)
+    assert simulate(spec, 1, seed, round_cap).censored == (round_cap < rounds)
+
+
+# From square 3, animal b reaches the blue terminal for 2 + 1 chicks, past
+# the cap of 4 whenever it holds two or more; a fox at the start strikes
+# at zero chicks.  The last move gains at least 2, so every final count
+# lies in [2, 4]: a missing floor would leave some below 2, a missing
+# cap some above 4.
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_the_chick_floor_and_cap_hold_at_both_edges(seed):
+    spec = GameSpec(animals=("a", "b"), squares=("0", "a", "b", "a", "*"), blue={5}, win_threshold=4)
+    assert spec.moves[3][1] == (5, 3)
+    report = simulate(spec, 2000, seed)
+    assert report == fold_single_plays(spec, 2000, seed, 600)
+    assert set(report.chick_histogram) == {2, 3, 4}
+
+
+def test_lane_constants_are_built_on_first_use_once_per_width():
+    # Importing the package builds none; a run builds each power-of-two
+    # width it needs once, so later batches and calls reuse them.
+    probe = (
+        "import capchain\n"
+        "from capchain.simulator import LANES, _lanes\n"
+        "assert _lanes.cache_info().currsize == 0\n"
+        "capchain.simulate(capchain.builtin_game('full'), 3 * LANES + 5, 1)\n"
+        "capchain.simulate(capchain.builtin_game('full'), 3 * LANES + 5, 2)\n"
+        "info = _lanes.cache_info()\n"
+        "assert info.misses == info.currsize <= LANES.bit_length(), info\n"
+        "assert info.hits > info.misses, info\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(capchain.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("trials", [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3])

@@ -19,11 +19,11 @@ is read), so absorbed mass plus epsilon is exactly 1 at every horizon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Dict, Iterable
+from typing import Dict, Iterable, NamedTuple
 
 from .poly import CappedPolynomial, scatter
 
@@ -59,37 +59,34 @@ class InvalidChainError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One transition: src --(prob, weight)--> dst."""
+class Edge(NamedTuple):
+    """One transition: src --(prob, weight)--> dst; a chain stores prob as a Fraction."""
 
     src: str
     dst: str
     prob: Fraction
     weight: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prob", Fraction(self.prob))
 
+class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing edges support")):
+    """A sound chain: constructing an unsound one raises InvalidChainError.
 
-@dataclass(frozen=True)
-class WeightedMarkovChain:
-    """A sound chain: constructing an unsound one raises InvalidChainError."""
+    Fields: `transient` and `absorbing` state ids, `edges` (each prob made
+    a Fraction) and the capital window `support` as (lo, hi).
+    """
 
-    transient: tuple[str, ...]
-    absorbing: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    support: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transient", tuple(self.transient))
-        object.__setattr__(self, "absorbing", tuple(self.absorbing))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        lo, hi = self.support
-        object.__setattr__(self, "support", (int(lo), int(hi)))
+    def __new__(
+        cls, transient: Iterable[str], absorbing: Iterable[str], edges: Iterable[Edge], support: tuple[int, int]
+    ) -> WeightedMarkovChain:
+        lo, hi = support
+        edges = tuple(Edge(src, dst, Fraction(prob), weight) for src, dst, prob, weight in edges)
+        self = super().__new__(cls, tuple(transient), tuple(absorbing), edges, (int(lo), int(hi)))
         violations = self.validate()
         if violations:
             raise InvalidChainError(violations)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
     @cached_property
     def transient_set(self) -> frozenset[str]:
@@ -200,8 +197,7 @@ def umbra_step(
     return landed, absorbed
 
 
-@dataclass(frozen=True)
-class AbsorptionRecord:
+class AbsorptionRecord(NamedTuple):
     """Everything a fixed-horizon absorption run produced.
 
     `absorbed` maps (round, absorbing state) to the capital polynomial
@@ -230,7 +226,7 @@ class AbsorptionRecord:
             return self
         factor = 1 / (1 - self.epsilon)
         absorbed = {key: poly.scale(factor) for key, poly in self.absorbed.items()}
-        return replace(self, absorbed=absorbed, residual={}, epsilon=Fraction(0))
+        return self._replace(absorbed=absorbed, residual={}, epsilon=Fraction(0))
 
 
 def run_absorption(chain: WeightedMarkovChain, start: str, rounds: int) -> AbsorptionRecord:
@@ -365,6 +361,6 @@ def loads_chain(text: str) -> WeightedMarkovChain:
     """Decode a chain from JSON text."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
         raise ChainFormatError(f"invalid JSON: {exc}") from None
     return chain_from_json_dict(data)

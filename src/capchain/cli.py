@@ -19,11 +19,10 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, sqrt
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .chain import (
     MAX_RECORD_BITS,
@@ -57,23 +56,7 @@ class UsageError(Exception):
     """An input problem that is the caller's to fix; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; every cmd_* function consumes exactly this."""
-
-    command: str
-    input_path: Optional[str] = None
-    builtin: Optional[str] = None
-    rounds: int = 60
-    trials: Optional[int] = None
-    seed: int = 1
-    digits: int = 13
-    format: str = "text"
-    full_record: bool = False
-    output: Optional[str] = None
-
-
-def _load_document(config: RunConfig) -> Union[GameSpec, dict]:
+def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
     """Load the input as a GameSpec or a raw chain dict, autodetected."""
     if (config.builtin is None) == (config.input_path is None):
         raise UsageError("provide exactly one input: a file path or --builtin")
@@ -85,7 +68,7 @@ def _load_document(config: RunConfig) -> Union[GameSpec, dict]:
         raise UsageError(f"cannot read {config.input_path}: {exc}") from None
     try:
         data = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
         raise UsageError(f"{config.input_path}: invalid JSON: {exc}") from None
     if isinstance(data, dict) and "board" in data:
         return parse_game_spec(data)
@@ -114,7 +97,7 @@ def _run_exact(document: Union[GameSpec, dict], rounds: int) -> tuple[Absorption
     return run_absorption(chain, start, rounds), win_capital
 
 
-def _require_game(config: RunConfig) -> GameSpec:
+def _require_game(config: argparse.Namespace) -> GameSpec:
     document = _load_document(config)
     if not isinstance(document, GameSpec):
         raise UsageError(f"{config.command} needs a game spec, not a chain document")
@@ -133,7 +116,7 @@ def _unlimited_int_text():
         set_limit(limit)
 
 
-def _emit(report: Union[str, dict], config: RunConfig) -> None:
+def _emit(report: Union[str, dict], config: argparse.Namespace) -> None:
     """Write a text report as is, or a JSON report dict as an indented document."""
     text = report if isinstance(report, str) else json.dumps(report, indent=2) + "\n"
     if config.output:
@@ -143,7 +126,7 @@ def _emit(report: Union[str, dict], config: RunConfig) -> None:
 
 
 def _analysis_report(
-    record: AbsorptionRecord, win_capital: int, config: RunConfig
+    record: AbsorptionRecord, win_capital: int, config: argparse.Namespace
 ) -> Union[str, dict]:
     """The analyze report: text, or the JSON report dict."""
     as_json = config.format == "json"
@@ -180,14 +163,14 @@ def _analysis_report(
     return report
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(config: argparse.Namespace) -> int:
     record, win_capital = _run_exact(_load_document(config), config.rounds)
     with _unlimited_int_text():
         _emit(_analysis_report(record, win_capital, config), config)
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: argparse.Namespace) -> int:
     spec = _require_game(config)
     report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
     fields = report.to_json_dict()
@@ -202,8 +185,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     name: str
     exact: float
     empirical: Optional[float]
@@ -275,7 +257,7 @@ def _compare_one(
     return ComparisonRow(name, exact, empirical, stderr, z, z <= 4.0)
 
 
-def cmd_compare(config: RunConfig) -> int:
+def cmd_compare(config: argparse.Namespace) -> int:
     spec = _require_game(config)
     record, win_capital = _run_exact(spec, config.rounds)
     if record.epsilon == 1:
@@ -326,13 +308,13 @@ def cmd_compare(config: RunConfig) -> int:
     return EXIT_OK if all_pass else EXIT_RUNTIME
 
 
-def cmd_dump_chain(config: RunConfig) -> int:
+def cmd_dump_chain(config: argparse.Namespace) -> int:
     spec = _require_game(config)
     _emit(dumps_chain(compile_game(spec)), config)
     return EXIT_OK
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "analyze": cmd_analyze,
     "simulate": cmd_simulate,
     "compare": cmd_compare,
@@ -341,7 +323,10 @@ _COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
@@ -366,18 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "-M",
                 "--rounds",
                 type=_positive_int,
-                default=RunConfig.rounds,
+                default=60,
                 help="analysis horizon in rounds (default %(default)s)",
             )
         sub.add_argument(
             "--format",
             choices=["text", "json"],
-            default=RunConfig.format,
+            default="text",
             help="output format",
         )
         sub.add_argument("--output", help="write the report to this path instead of stdout")
 
-    digits = dict(type=_positive_int, default=RunConfig.digits, help="rendered decimal places")
+    digits = dict(type=_positive_int, default=13, help="rendered decimal places")
     analyze = subparsers.add_parser("analyze", help="exact absorption analysis")
     add_common(analyze)
     analyze.add_argument("--digits", **digits)
@@ -388,14 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sim = subparsers.add_parser("simulate", help="seeded Monte Carlo play")
-    add_common(sim)
-    sim.add_argument("--trials", type=_positive_int, required=True)
-    sim.add_argument("--seed", type=int, default=RunConfig.seed)
-
     compare = subparsers.add_parser("compare", help="exact vs empirical at 4 standard errors")
-    add_common(compare)
-    compare.add_argument("--trials", type=_positive_int, required=True)
-    compare.add_argument("--seed", type=int, default=RunConfig.seed)
+    for sub in (sim, compare):
+        add_common(sub)
+        sub.add_argument("--trials", type=_positive_int, required=True)
+        sub.add_argument("--seed", type=int, default=1)
     compare.add_argument("--digits", **digits)
 
     dump = subparsers.add_parser("dump-chain", help="print the compiled chain JSON")
@@ -405,15 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        config = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    # Options a subcommand lacks keep their RunConfig defaults.
-    config = RunConfig(**vars(args))
     try:
-        if config.rounds > MAX_ROUNDS:
+        # dump-chain takes no -M, and simulate and dump-chain no --digits.
+        if getattr(config, "rounds", 0) > MAX_ROUNDS:
             raise UsageError(f"horizon {config.rounds} exceeds the limit of {MAX_ROUNDS} rounds")
-        if config.digits > MAX_DIGITS:
+        if getattr(config, "digits", 0) > MAX_DIGITS:
             raise UsageError(f"--digits {config.digits} exceeds the limit of {MAX_DIGITS} places")
         return _COMMANDS[config.command](config)
     except (GameSpecError, InvalidChainError) as exc:

@@ -19,8 +19,7 @@ capital window's upper clamp.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -41,29 +40,26 @@ class GameSpecError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
     """A sound game board: constructing an unsound one raises GameSpecError.
 
+    `animals` is a tuple of tags and `blue` a frozenset of square numbers.
     `squares` holds the labels of squares 1..N+1 (1-based board
     positions), terminal last.  Square 1 is the start; any label on it
     is ignored, because no spin ever lands there.  `win_threshold` is
     N, the chick count needed to win, and also the capital cap.
     """
 
-    animals: tuple[str, ...]
-    squares: tuple[str, ...]
-    blue: frozenset[int]
-    win_threshold: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "animals", tuple(self.animals))
-        object.__setattr__(self, "squares", tuple(self.squares))
-        object.__setattr__(self, "blue", frozenset(int(b) for b in self.blue))
-        object.__setattr__(self, "win_threshold", int(self.win_threshold))
+    def __new__(
+        cls, animals: Iterable[str], squares: Iterable[str], blue: Iterable[int], win_threshold: int
+    ) -> GameSpec:
+        self = super().__new__(cls, tuple(animals), tuple(squares), frozenset(map(int, blue)), int(win_threshold))
         diagnostics = self.validate()
         if diagnostics:
             raise GameSpecError(diagnostics)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
     @property
     def terminal_square(self) -> int:
@@ -161,7 +157,7 @@ def parse_game_spec(source: Union[str, Mapping]) -> GameSpec:
     if isinstance(source, str):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
             raise GameSpecError([f"invalid JSON: {exc}"]) from None
     else:
         data = source

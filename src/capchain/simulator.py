@@ -24,10 +24,9 @@ The tests hold the two to equal reports.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cache
 from math import sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .game import GameSpec
 
@@ -111,8 +110,7 @@ def play_once(
     return None
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Empirical outcome of a seeded batch of plays.
 
     Histograms and moments cover completed trials; a censored trial

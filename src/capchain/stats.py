@@ -11,11 +11,10 @@ and never feeds back into arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .chain import AbsorptionRecord
 
@@ -27,8 +26,7 @@ DECIMAL_PRECISION = 50
 MAX_DIGITS = DECIMAL_PRECISION - 10
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Conditional-on-absorption statistics of one absorption run.
 
     Rational statistics, kurtosis included, are exact Fractions.  The

@@ -129,6 +129,31 @@ def test_validate_flags_a_chain_without_transient_states():
     assert excinfo.value.violations == ["chain has no transient state"]
 
 
+@pytest.mark.parametrize("prob", ["1", 1])
+def test_an_edge_probability_is_stored_as_a_fraction(prob):
+    chain = WeightedMarkovChain(["t0"], ["a0"], [Edge("t0", "a0", prob, 0)], [0, 4])
+    assert type(chain.edges[0].prob) is Fraction
+    assert chain == two_state_chain()
+
+
+def test_keyword_construction_and_replace_still_validate():
+    with pytest.raises(InvalidChainError, match="no transient state"):
+        WeightedMarkovChain(transient=(), absorbing=("a0",), edges=(), support=(0, 1))
+    with pytest.raises(InvalidChainError, match="inverted"):
+        two_state_chain()._replace(support=(2, 1))
+
+
+def test_a_chain_is_immutable_and_hashes_by_value():
+    chain = two_state_chain()
+    with pytest.raises(AttributeError):
+        chain.support = (0, 8)
+    assert chain.support == (0, 4)
+    twin = two_state_chain()
+    assert twin == chain and twin is not chain
+    assert hash(twin) == hash(chain)
+    assert two_state_chain(weight=1) != chain
+
+
 # umbra_step worked examples on the simplified board
 
 
@@ -294,6 +319,12 @@ def test_float_probabilities_are_refused():
     data["edges"][0]["prob"] = 0.5
     with pytest.raises(ChainFormatError, match="exact"):
         loads_chain(__import__("json").dumps(data))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" * 5000], ids=["deep", "long-int"])
+def test_json_past_the_parser_limits_is_refused(text):
+    with pytest.raises(ChainFormatError, match="invalid JSON"):
+        loads_chain(text)
 
 
 def test_missing_fields_are_refused():

@@ -1,6 +1,5 @@
 """Command-line wiring: exit codes, formats, and library agreement."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -482,6 +481,14 @@ def test_simulate_requires_positive_trials(capsys):
     assert "must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [["--trials", "x"], ["--trials", "1", "-M", "x"]])
+def test_a_non_integer_count_says_a_positive_integer_was_expected(capsys, argv):
+    code, _, err = run_cli(capsys, "simulate", "--builtin", "full", *argv)
+    assert code == EXIT_USAGE
+    assert "expected a positive integer, got 'x'" in err
+    assert "_positive_int" not in err
+
+
 # compare
 
 
@@ -536,7 +543,7 @@ def test_compare_statistics_rejects_a_shifted_mean():
     rows, all_pass = compare_statistics(stats, report)
     assert all_pass
 
-    doctored = dataclasses.replace(report, chick_mean=report.chick_mean + 1.0)
+    doctored = report._replace(chick_mean=report.chick_mean + 1.0)
     rows, all_pass = compare_statistics(stats, doctored)
     assert not all_pass
     failures = {row.name for row in rows if not row.passed}
@@ -638,6 +645,15 @@ def test_undecodable_file_is_a_usage_error(tmp_path, capsys, content, message):
     assert message in err
 
 
+@pytest.mark.parametrize("wrapper", ["{}", '{{"board": {}}}'], ids=["top-level", "under-board"])
+def test_too_deeply_nested_json_is_a_usage_error(tmp_path, capsys, wrapper):
+    path = tmp_path / "deep.json"
+    path.write_text(wrapper.format("[" * 100_000 + "]" * 100_000))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {path}: invalid JSON: ")
+
+
 def test_document_without_board_or_edges(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"stuff": 1}))
@@ -671,3 +687,11 @@ def test_unknown_subcommand_exits_with_usage(capsys):
 
 def test_no_subcommand_exits_with_usage(capsys):
     assert run_cli(capsys)[0] == EXIT_USAGE
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter, because pytest itself imports both.
+    probe = "import sys\nimport capchain.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

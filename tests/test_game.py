@@ -100,6 +100,12 @@ def test_invalid_json_is_a_diagnostic():
         parse_game_spec("{not json")
 
 
+@pytest.mark.parametrize("board", ["[" * 100_000 + "]" * 100_000, "1" * 5000], ids=["deep", "long-int"])
+def test_json_past_the_parser_limits_is_a_diagnostic(board):
+    with pytest.raises(GameSpecError, match="invalid JSON"):
+        parse_game_spec('{"board": ' + board + "}")
+
+
 def test_non_object_document_is_refused():
     with pytest.raises(GameSpecError, match="object"):
         parse_game_spec("[1, 2]")
@@ -113,6 +119,16 @@ def test_start_square_label_is_tolerated_and_ignored():
 
 def test_builtin_games_are_hashable():
     assert hash(builtin_game("full")) == hash(builtin_game("full"))
+
+
+def test_a_game_spec_is_immutable_and_validated_however_it_is_built(simplified_game):
+    with pytest.raises(AttributeError):
+        simplified_game.win_threshold = 9
+    assert simplified_game.win_threshold == 8
+    with pytest.raises(GameSpecError, match="missing terminal"):
+        GameSpec(animals=("S",), squares=("0", "S"), blue=frozenset(), win_threshold=1)
+    with pytest.raises(GameSpecError, match="outside"):
+        simplified_game._replace(blue=[99])
 
 
 def test_unknown_builtin_is_an_error():

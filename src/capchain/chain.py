@@ -78,9 +78,8 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
     def __new__(
         cls, transient: Iterable[str], absorbing: Iterable[str], edges: Iterable[Edge], support: tuple[int, int]
     ) -> WeightedMarkovChain:
-        lo, hi = support
         edges = tuple(Edge(src, dst, Fraction(prob), weight) for src, dst, prob, weight in edges)
-        self = super().__new__(cls, tuple(transient), tuple(absorbing), edges, (int(lo), int(hi)))
+        self = super().__new__(cls, tuple(transient), tuple(absorbing), edges, tuple(support))
         violations = self.validate()
         if violations:
             raise InvalidChainError(violations)
@@ -122,7 +121,9 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 violations.append(f"state {state!r} declared more than once")
             seen.add(state)
         lo, hi = self.support
-        if lo > hi:
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            violations.append(f"capital support ({lo!r}, {hi!r}) must be two integers")
+        elif lo > hi:
             violations.append(f"inverted capital support [{lo}, {hi}]")
         elif hi - lo + 1 > MAX_WINDOW:
             violations.append(f"capital window [{lo}, {hi}] exceeds the {MAX_WINDOW}-cell limit")
@@ -144,6 +145,8 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 problem = "is not positive" if edge.prob <= 0 else "exceeds 1"
                 violations.append(f"{label}: {shown} {problem}")
                 totals.pop(edge.src, None)
+            if not isinstance(edge.weight, int):
+                violations.append(f"{label}: weight {edge.weight!r} is not an integer")
             if edge.src in self.absorbing_set:
                 violations.append(
                     f"{label}: absorbing state {edge.src!r} has an outgoing edge"
@@ -248,13 +251,7 @@ def run_absorption(chain: WeightedMarkovChain, start: str, rounds: int) -> Absor
         for state, poly in landed.items():
             absorbed[(round_index, state)] = poly
     epsilon = sum((poly.mass() for poly in vector.values()), Fraction(0))
-    return AbsorptionRecord(
-        absorbed=absorbed,
-        rounds_run=rounds,
-        residual=vector,
-        epsilon=epsilon,
-        support=chain.support,
-    )
+    return AbsorptionRecord(absorbed, rounds, vector, epsilon, chain.support)
 
 
 def chain_to_json_dict(chain: WeightedMarkovChain) -> dict:

@@ -53,7 +53,7 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
     def __new__(
         cls, animals: Iterable[str], squares: Iterable[str], blue: Iterable[int], win_threshold: int
     ) -> GameSpec:
-        self = super().__new__(cls, tuple(animals), tuple(squares), frozenset(map(int, blue)), int(win_threshold))
+        self = super().__new__(cls, tuple(animals), tuple(squares), frozenset(blue), win_threshold)
         diagnostics = self.validate()
         if diagnostics:
             raise GameSpecError(diagnostics)
@@ -96,6 +96,8 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
             elif tag in seen:
                 diagnostics.append(f"animals: duplicate tag {tag!r}")
             seen.add(tag)
+        if not isinstance(self.win_threshold, int):  # the checks below count with it
+            return diagnostics + [f"win_threshold must be an integer, got {self.win_threshold!r}"]
         if self.win_threshold < 1:
             diagnostics.append(f"win_threshold must be >= 1, got {self.win_threshold}")
         if len(self.squares) < 2:
@@ -115,30 +117,11 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
                 f"win_threshold {self.win_threshold} needs {self.win_threshold + 1}"
             )
         upper = self.win_threshold + 1
-        for square in sorted(self.blue):
+        for square in sorted(square for square in self.blue if isinstance(square, int)):
             if not 2 <= square <= upper:
                 diagnostics.append(f"blue square {square} is outside 2..{upper}")
+        diagnostics += sorted(f"blue square {b!r} is not an integer" for b in self.blue if not isinstance(b, int))
         return diagnostics
-
-    def matches(self, square: int, animal: str) -> bool:
-        """True when the square's label matches the animal (terminal matches all)."""
-        label = self.label(square)
-        return label == TERMINAL or label == animal
-
-    def next_location(self, square: int, animal: str) -> int:
-        """Smallest j > square matching `animal`; the terminal guarantees one exists."""
-        if animal not in self.animals:
-            raise ValueError(f"unknown animal tag {animal!r}")
-        if square == self.terminal_square:
-            raise ValueError("cannot move from the terminal square")
-        if not 1 <= square <= self.win_threshold:
-            raise ValueError(
-                f"square {square} is outside the board (1..{self.terminal_square})"
-            )
-        for target in range(square + 1, self.terminal_square + 1):
-            if self.matches(target, animal):
-                return target
-        raise ValueError(f"no square after {square} matches {animal!r}")
 
     def chick_gain(self, src: int, dst: int) -> int:
         """Chicks collected moving src -> dst: squares moved, plus 1 on a blue landing."""

@@ -18,14 +18,14 @@ the exact unreduced mass, the sum of the cells.  B is a multiple of 8
 with that mass below 2^(B-1), so sums of shifted multiples of rows never
 carry from cell to cell, and a run of cells sums to its packed int
 modulo 2^B - 1.  Only this module knows the format: `scatter` is the
-engine's round and `CappedPolynomial.stored_cells` the read of a row.
+engine's round and `CappedPolynomial.stored_cells` the one read of a
+row, which `terms`, `coeffs`, equality, hashing and `repr` go through.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 # Anything Fraction() accepts losslessly: 3, Fraction(1, 3), "1/3".
@@ -99,9 +99,10 @@ def scatter(rows: Mapping, moves: Mapping, scale: int, support: tuple[int, int])
 class CappedPolynomial:
     """Polynomial in t with exact nonnegative rational coefficients on a fixed exponent window.
 
-    Coefficient j is `numerators[j] / denominator`, reduced by the gcd of all of them
-    (zero has denominator 1): the pair is unique, so equality and hashing compare it.
-    Instances are immutable; the cells are stored packed (see the module docstring).
+    Two polynomials are equal, and hash alike, when their windows and coefficients are,
+    however they were built; both cost the occupied cells, not the window.  `repr` is a
+    constructor call that rebuilds an equal polynomial.  Instances are immutable; the
+    cells are stored packed (see the module docstring).
     """
 
     def __init__(self, support_min: int, support_max: int, coeffs: Sequence[RationalLike]):
@@ -144,25 +145,13 @@ class CappedPolynomial:
         cells = [int.from_bytes(data[i : i + size], "little") for i in range(0, span * size, size)]
         return self.support_min + self._offset, cells, self._den
 
-    @cached_property
-    def _reduced(self) -> tuple[tuple[int, ...], int]:
-        """The stored numerators and the denominator, divided by their gcd."""
-        _, cells, denominator = self.stored_cells()
-        common = gcd(*cells, denominator)
-        return tuple(n // common for n in cells), denominator // common
-
-    @property
-    def numerators(self) -> tuple[int, ...]:
-        above = self.support_max - self.support_min + 1 - self._offset - self._span
-        return (0,) * self._offset + self._reduced[0] + (0,) * above
-
-    @property
-    def denominator(self) -> int:
-        return self._reduced[1]
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+        """Every coefficient of the window, zeros included: `terms()` spread over the window."""
+        coeffs = [Fraction(0)] * (self.support_max - self.support_min + 1)
+        for exponent, coeff in self.terms():
+            coeffs[exponent - self.support_min] = coeff
+        return tuple(coeffs)
 
     @property
     def support(self) -> tuple[int, int]:
@@ -173,7 +162,7 @@ class CappedPolynomial:
         return not self._value
 
     def _key(self) -> tuple:
-        return self.support_min, self.support_max, self.numerators, self.denominator
+        return self.support_min, self.support_max, tuple(self.terms())
 
     def __eq__(self, other: object) -> bool:
         return self._key() == other._key() if isinstance(other, CappedPolynomial) else NotImplemented
@@ -182,7 +171,7 @@ class CappedPolynomial:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return "CappedPolynomial(support_min={}, support_max={}, numerators={}, denominator={})".format(*self._key())
+        return f"CappedPolynomial({self.support_min}, {self.support_max}, {[str(c) for c in self.coeffs]})"
 
     @classmethod
     def monomial(
@@ -198,8 +187,8 @@ class CappedPolynomial:
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """Yield (exponent, coefficient) pairs for the nonzero coefficients."""
-        cells, denominator = self._reduced
-        for exponent, numerator in enumerate(cells, start=self.support_min + self._offset):
+        first, cells, denominator = self.stored_cells()
+        for exponent, numerator in enumerate(cells, start=first):
             if numerator:
                 yield exponent, Fraction(numerator, denominator)
 

@@ -9,6 +9,8 @@ machinery, so agreement between the two is evidence, not tautology.
 A chain is passed as plain data: lists of state ids, a list of
 (src, dst, prob, weight) tuples, and a (lo, hi) support window.
 Distributions come back as nested dicts mapping capital -> Fraction.
+A game board is its square labels, squares 1..N+1 in order: "0" for an
+empty square, an animal tag, and the terminal "*" last.
 """
 
 from __future__ import annotations
@@ -100,6 +102,19 @@ def random_chain_data(rng: random.Random, max_states: int = 5):
                 )
             )
     return transient, absorbing, edges, (lo, hi)
+
+
+def matches(label: str, animal: str) -> bool:
+    """True when a square labelled `label` stops a piece moved by `animal` (the terminal stops all)."""
+    return label == "*" or label == animal
+
+
+def next_location(squares: list[str], square: int, animal: str) -> int:
+    """The game rule: the smallest square after `square` whose label matches `animal`."""
+    for target in range(square + 1, len(squares) + 1):
+        if matches(squares[target - 1], animal):
+            return target
+    raise ValueError(f"no square after {square} matches {animal!r}")
 
 
 def longest_animal_only_path(

@@ -16,7 +16,7 @@ from capchain import (
     run_absorption,
 )
 
-from _oracle import brute_force_record
+from _oracle import brute_force_record, matches, next_location
 from _testlib import marginal_capital, record_as_dicts
 
 
@@ -114,7 +114,7 @@ def test_non_object_document_is_refused():
 def test_start_square_label_is_tolerated_and_ignored():
     spec = parse_game_spec('{"animals": ["S"], "board": ["S", "S"]}')
     assert spec.validate() == []
-    assert spec.next_location(1, "S") == 2
+    assert next_location(spec.squares, 1, "S") == 2
 
 
 def test_builtin_games_are_hashable():
@@ -131,6 +131,18 @@ def test_a_game_spec_is_immutable_and_validated_however_it_is_built(simplified_g
         simplified_game._replace(blue=[99])
 
 
+@pytest.mark.parametrize("threshold", [8.9, "8", 8.0])
+def test_a_non_integer_win_threshold_is_a_diagnostic(simplified_game, threshold):
+    with pytest.raises(GameSpecError, match="win_threshold must be an integer, got"):
+        simplified_game._replace(win_threshold=threshold)
+
+
+def test_a_non_integer_blue_square_is_a_diagnostic(simplified_game):
+    with pytest.raises(GameSpecError) as excinfo:
+        simplified_game._replace(blue=[3, 3.7, "6"])
+    assert excinfo.value.diagnostics == ["blue square '6' is not an integer", "blue square 3.7 is not an integer"]
+
+
 def test_unknown_builtin_is_an_error():
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin_game("x")
@@ -140,20 +152,11 @@ def test_unknown_builtin_is_an_error():
 
 
 def test_next_location_examples(simplified_game):
-    assert simplified_game.next_location(1, "S") == 3
-    assert simplified_game.next_location(4, "S") == 8
-    assert simplified_game.next_location(8, "C") == 9
-    assert simplified_game.next_location(8, "S") == 9
-
-
-def test_next_location_from_the_terminal_is_an_error(simplified_game):
-    with pytest.raises(ValueError, match="terminal"):
-        simplified_game.next_location(9, "S")
-
-
-def test_next_location_unknown_animal_is_an_error(simplified_game):
-    with pytest.raises(ValueError, match="unknown"):
-        simplified_game.next_location(1, "F")
+    squares = simplified_game.squares
+    assert next_location(squares, 1, "S") == 3
+    assert next_location(squares, 4, "S") == 8
+    assert next_location(squares, 8, "C") == 9
+    assert next_location(squares, 8, "S") == 9
 
 
 def test_chick_gain_examples(simplified_game):
@@ -167,11 +170,11 @@ def test_next_location_never_skips_a_matching_square(name):
     spec = builtin_game(name)
     for square in range(1, spec.terminal_square):
         for animal in spec.animals:
-            target = spec.next_location(square, animal)
+            target = next_location(spec.squares, square, animal)
             assert target > square
-            assert spec.matches(target, animal)
+            assert matches(spec.label(target), animal)
             for skipped in range(square + 1, target):
-                assert not spec.matches(skipped, animal)
+                assert not matches(spec.label(skipped), animal)
 
 
 @st.composite
@@ -188,7 +191,7 @@ def test_moves_equal_the_next_location_table(spec):
     assert spec.moves == {
         square: tuple(
             (target, spec.chick_gain(square, target))
-            for target in (spec.next_location(square, animal) for animal in spec.animals)
+            for target in (next_location(spec.squares, square, animal) for animal in spec.animals)
         )
         for square in standing
     }

@@ -1,5 +1,7 @@
 """Capped polynomials: exact canonical form, and clamping through the scatter."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ def mono(exponent, coeff):
 def test_zero_has_all_zero_coefficients():
     poly = CappedPolynomial(0, 8, [0] * 9)
     assert poly.coeffs == (Fraction(0),) * 9
-    assert (poly.numerators, poly.denominator) == ((0,) * 9, 1)
+    assert repr(poly) == f"CappedPolynomial(0, 8, {['0'] * 9})"
     assert poly.mass() == 0
 
 
@@ -27,7 +29,7 @@ def test_zero_single_cell():
 
 def test_zero_negative_support():
     poly = zero_poly(-3, 5)
-    assert len(poly.numerators) == 9
+    assert len(poly.coeffs) == 9
     assert poly.support == (-3, 5)
     assert coefficient(poly, -3) == 0
 
@@ -66,7 +68,8 @@ def test_equal_rationals_in_different_forms_are_equal_and_hash_equal():
     for poly in forms:
         assert poly == forms[0]
         assert hash(poly) == hash(forms[0])
-        assert (poly.numerators, poly.denominator) == ((1, 0, 2), 2)
+        assert poly.coeffs == (Fraction(1, 2), 0, 1)
+        assert repr(poly) == "CappedPolynomial(0, 2, ['1/2', '0', '1'])"
     assert CappedPolynomial(0, 1, [1, 2]) == CappedPolynomial(0, 1, [Fraction(1), Fraction(4, 2)])
     assert CappedPolynomial(0, 1, [1, 2]) != CappedPolynomial(0, 1, [1, 3])
     assert CappedPolynomial(0, 1, [0, 1]) != CappedPolynomial(1, 2, [0, 1])
@@ -74,8 +77,32 @@ def test_equal_rationals_in_different_forms_are_equal_and_hash_equal():
 
 def test_scaling_to_zero_gives_the_canonical_zero():
     poly = CappedPolynomial(0, 2, [Fraction(1, 3), Fraction(2, 9), 0]).scale(0)
-    assert (poly.numerators, poly.denominator) == ((0, 0, 0), 1)
+    assert repr(poly) == "CappedPolynomial(0, 2, ['0', '0', '0'])"
     assert poly == zero_poly(0, 2)
+
+
+@given(capped_polynomials())
+def test_repr_is_a_constructor_call_that_round_trips(poly):
+    assert eval(repr(poly)) == poly
+
+
+def test_repr_round_trips_the_zero_row_and_a_monomial_on_a_wide_window():
+    for poly in (zero_poly(-5000, 4999), CappedPolynomial.monomial(4321, Fraction(2, 3), -5000, 4999)):
+        assert eval(repr(poly)) == poly
+
+
+def test_equality_and_hash_cost_the_occupied_cells_not_the_window():
+    poly = CappedPolynomial.monomial(4321, Fraction(2, 3), -5000, 4999)
+    twin = CappedPolynomial.monomial(4321, Fraction(4, 6), -5000, 4999)
+    window = sys.getsizeof((0,) * 10_000)
+    tracemalloc.start()
+    try:
+        assert hash(poly) == hash(twin)
+        assert poly == twin
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < window // 10
 
 
 @given(st.data())

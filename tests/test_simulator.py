@@ -24,7 +24,7 @@ from capchain import (
 import capchain
 from capchain.simulator import LANES
 
-from _oracle import longest_animal_only_path
+from _oracle import longest_animal_only_path, next_location
 from _testlib import (
     chi_square_upper_tail,
     fold_single_plays,
@@ -74,7 +74,7 @@ def unmix64(value):
 
 def oracle_moves(spec):
     return {
-        square: [spec.next_location(square, animal) for animal in spec.animals]
+        square: [next_location(spec.squares, square, animal) for animal in spec.animals]
         for square in range(1, spec.terminal_square)
     }
 

@@ -17,6 +17,7 @@ from .chain import (
     ChainFormatError,
     Edge,
     InvalidChainError,
+    RecordTooLargeError,
     StateVector,
     WeightedMarkovChain,
     chain_from_json_dict,
@@ -62,6 +63,7 @@ __all__ = [
     "GameSpec",
     "GameSpecError",
     "InvalidChainError",
+    "RecordTooLargeError",
     "SIMPLIFIED_GAME_JSON",
     "SimulationReport",
     "SplitMix64",

@@ -22,7 +22,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import inf, lcm
 from typing import Dict, Iterable, NamedTuple
 
 from .poly import CappedPolynomial, scatter
@@ -42,9 +42,14 @@ MAX_ROUNDS = 1_000
 MAX_DENOMINATOR_BITS = 64
 # A full record prints a numerator and a denominator per stored cell: at most about a byte
 # per bit of its sum over rows of cells x denominator bits.  Twice the full game's at M = 1000
-# (5.2e7: 48 MB of JSON, 3 s, 219 MB); at the limit a D = 3 walk on 10000 cells prints 38 MB
-# in 4 s at 173 MB.
+# (5.2e7: 48 MB of JSON, 2 s, 164 MB); at the limit a D = 3 walk on 10000 cells prints 38 MB
+# in 2 s at 153 MB.  The sum only grows with the rounds, so `run_absorption` stops a run as
+# soon as it passes the limit.
 MAX_RECORD_BITS = 100_000_000
+
+
+class RecordTooLargeError(ValueError):
+    """Raised when a run's record passes the size a caller allows it; an input problem, not a bug."""
 
 
 class ChainFormatError(ValueError):
@@ -232,12 +237,16 @@ class AbsorptionRecord(NamedTuple):
         return self._replace(absorbed=absorbed, residual={}, epsilon=Fraction(0))
 
 
-def run_absorption(chain: WeightedMarkovChain, start: str, rounds: int) -> AbsorptionRecord:
+def run_absorption(
+    chain: WeightedMarkovChain, start: str, rounds: int, max_record_bits: float = inf
+) -> AbsorptionRecord:
     """Run `rounds` umbral steps from `start` and collect the full record.
 
     The walk starts with probability 1 in `start`, holding 0 units
     clamped into the support window.  Raises ValueError for a bad start
-    state or horizon.
+    state or horizon, and RecordTooLargeError once the absorbed rows hold
+    more than `max_record_bits` stored cells x denominator bits: that sum
+    only grows, so the run stops at the first round that passes it.
     """
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"horizon must be between 1 and {MAX_ROUNDS}, got {rounds}")
@@ -246,10 +255,16 @@ def run_absorption(chain: WeightedMarkovChain, start: str, rounds: int) -> Absor
     lo, hi = chain.support
     vector: StateVector = {start: CappedPolynomial.monomial(min(max(0, lo), hi), 1, lo, hi)}
     absorbed: dict[tuple[int, str], CappedPolynomial] = {}
+    size = 0
     for round_index in range(1, rounds + 1):
         vector, landed = umbra_step(chain, vector)
         for state, poly in landed.items():
             absorbed[(round_index, state)] = poly
+            size += poly.stored_bits
+        if size > max_record_bits:
+            raise RecordTooLargeError(
+                f"the full record holds at least {size} cells x denominator bits, over the {max_record_bits} limit"
+            )
     epsilon = sum((poly.mass() for poly in vector.values()), Fraction(0))
     return AbsorptionRecord(absorbed, rounds, vector, epsilon, chain.support)
 

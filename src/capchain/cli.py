@@ -7,7 +7,8 @@ statistic at 4 standard errors; `dump-chain` prints the compiled
 chain as JSON.  Input documents are autodetected: a top-level "board"
 field means a game spec, a top-level "edges" field means a chain.
 `_run_exact` is the one exact run and `_emit` the one writer; a report
-stays a text string or a JSON dict until `_emit` writes it.
+stays a text string or a JSON dict until `_emit` writes it, except that a
+JSON report with the full record is rendered to text beside its record.
 
 Exit codes: 0 success, 1 runtime failure (including a failed
 comparison), 2 input or validation error.
@@ -20,7 +21,8 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import inf, sqrt
+from json.encoder import encode_basestring_ascii
+from math import gcd, inf, sqrt
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -30,6 +32,7 @@ from .chain import (
     AbsorptionRecord,
     ChainFormatError,
     InvalidChainError,
+    RecordTooLargeError,
     chain_from_json_dict,
     dumps_chain,
     run_absorption,
@@ -80,11 +83,14 @@ def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
     )
 
 
-def _run_exact(document: Union[GameSpec, dict], rounds: int) -> tuple[AbsorptionRecord, int]:
+def _run_exact(
+    document: Union[GameSpec, dict], rounds: int, max_record_bits: float = inf
+) -> tuple[AbsorptionRecord, int]:
     """Run the exact engine on a loaded input; return its record and winning capital.
 
     A game starts on square "1" and wins at its win threshold; a chain starts at its
     "start" state (default: its first transient state) and wins at its window's top.
+    A record past `max_record_bits` raises RecordTooLargeError during the run.
     """
     if isinstance(document, GameSpec):
         chain, start, win_capital = compile_game(document), "1", document.win_threshold
@@ -94,7 +100,7 @@ def _run_exact(document: Union[GameSpec, dict], rounds: int) -> tuple[Absorption
         if not isinstance(start, str) or start not in chain.transient_set:
             raise UsageError(f"start state {start!r} is not a transient state of the chain")
         win_capital = chain.support[1]
-    return run_absorption(chain, start, rounds), win_capital
+    return run_absorption(chain, start, rounds, max_record_bits), win_capital
 
 
 def _require_game(config: argparse.Namespace) -> GameSpec:
@@ -125,15 +131,36 @@ def _emit(report: Union[str, dict], config: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+def _row_texts(poly: CappedPolynomial) -> tuple[str, list[tuple[int, str]]]:
+    """A row's mass and its (exponent, coefficient) per nonzero cell, as `str(Fraction)` prints them.
+
+    One gcd per value; the values share a denominator, so its "/q" text is
+    built once per distinct gcd.
+    """
+    first, cells, denominator = poly.stored_cells()
+    suffixes: dict[int, str] = {}  # gcd with the denominator -> "/q", "" for q = 1
+
+    def text(numerator: int) -> str:
+        common = gcd(numerator, denominator)
+        suffix = suffixes.get(common)
+        if suffix is None:
+            reduced = denominator // common
+            suffix = suffixes[common] = f"/{reduced}" if reduced > 1 else ""
+        return f"{numerator // common}{suffix}"
+
+    return text(sum(cells)), [(exponent, text(n)) for exponent, n in enumerate(cells, first) if n]
+
+
 def _analysis_report(
     record: AbsorptionRecord, win_capital: int, config: argparse.Namespace
 ) -> Union[str, dict]:
-    """The analyze report: text, or the JSON report dict."""
+    """The analyze report: text, or the JSON report dict; with the full record, JSON text.
+
+    The record's JSON is written here as `json.dumps(report, indent=2)` would write
+    it, an array after the statistics (absorbed rows are never zero), because with
+    an indent `json.dumps` runs its pure-Python encoder over every cell.
+    """
     as_json = config.format == "json"
-    rows = map(CappedPolynomial.stored_cells, record.absorbed.values()) if config.full_record else ()
-    size = sum(len(cells) * denominator.bit_length() for _, cells, denominator in rows)
-    if size > MAX_RECORD_BITS:
-        raise UsageError(f"the full record holds {size} cells x denominator bits, over the {MAX_RECORD_BITS} limit")
     if record.epsilon == 1:
         if not as_json:
             note = "no mass absorbed within the horizon; statistics undefined\n"
@@ -147,24 +174,27 @@ def _analysis_report(
         return report
     entries = sorted(record.conditional().absorbed.items())
     if not as_json:
-        return report + "\nabsorbed polynomials (conditional on absorption):\n" + "".join(
-            f"round {round_index:>3}  state {state:>4}  {poly}\n"
-            for (round_index, state), poly in entries
+        parts = [report, "\nabsorbed polynomials (conditional on absorption):\n"]
+        for (round_index, state), poly in entries:
+            terms = " + ".join(f"{text}*t^{exponent}" for exponent, text in _row_texts(poly)[1])
+            parts.append(f"round {round_index:>3}  state {state:>4}  {terms}\n")
+        return "".join(parts)
+    parts = [json.dumps(report, indent=2)[:-2], ',\n  "record": [']  # the statistics less their closing "\n}"
+    for (round_index, state), poly in entries:
+        mass, cells = _row_texts(poly)
+        coefficients = ",".join(f'\n        "{exponent}": "{text}"' for exponent, text in cells)
+        parts.append(
+            f'\n    {{\n      "round": {round_index},\n      "state": {encode_basestring_ascii(state)},'
+            f'\n      "mass": "{mass}",\n      "coefficients": {{{coefficients}\n      }}\n    }},'
         )
-    report["record"] = [
-        {
-            "round": round_index,
-            "state": state,
-            "mass": str(poly.mass()),
-            "coefficients": {str(exponent): str(coeff) for exponent, coeff in poly.terms()},
-        }
-        for (round_index, state), poly in entries
-    ]
-    return report
+    parts[-1] = parts[-1][:-1]  # no comma after the last entry
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def cmd_analyze(config: argparse.Namespace) -> int:
-    record, win_capital = _run_exact(_load_document(config), config.rounds)
+    limit = MAX_RECORD_BITS if config.full_record else inf
+    record, win_capital = _run_exact(_load_document(config), config.rounds, limit)
     with _unlimited_int_text():
         _emit(_analysis_report(record, win_capital, config), config)
     return EXIT_OK
@@ -401,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for line in exc.diagnostics if isinstance(exc, GameSpecError) else exc.violations:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ChainFormatError) as exc:
+    except (UsageError, ChainFormatError, RecordTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

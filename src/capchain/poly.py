@@ -44,10 +44,8 @@ def _pack(cells: Sequence[int], bits: int) -> int:
 
 
 def _clamped(value: int, offset: int, span: int, bits: int, weight: int, width: int) -> tuple[int, int]:
-    """A packed row shifted by `weight`, cells pushed off either end piled onto the end cell: (packed, offset)."""
+    """A packed row shifted by `weight` past an end of the window, cells beyond piled on the end: (packed, offset)."""
     start = offset + weight
-    if 0 <= start and start + span <= width:
-        return value, start
     # The low `cut` cells, at most all: those landing below cell 0, or those staying at or below the cap.
     cut = min(-start if start < 0 else max(width - start, 1), span)
     low, high = value & ((1 << cut * bits) - 1), value >> cut * bits
@@ -82,10 +80,18 @@ def scatter(rows: Mapping, moves: Mapping, scale: int, support: tuple[int, int])
         lift = common // poly._den
         mass = poly._mass * lift
         value = poly._value * lift if bits == poly._bits else _pack([n * lift for n in poly.stored_cells()[1]], bits)
+        offset, span = poly._offset, poly._span
         for dst, numerator, weight in moves[src]:
-            # Scale and shift: the engine's hot path and only scatter.
-            term, at = _clamped(value, poly._offset, poly._span, bits, weight, width)
-            cell = landed.setdefault(dst, [0, at, 0])
+            # Scale and shift: the engine's hot path and only scatter.  Most moves stay inside the window.
+            at = offset + weight
+            if 0 <= at and at + span <= width:
+                term = value
+            else:
+                term, at = _clamped(value, offset, span, bits, weight, width)
+            cell = landed.get(dst)
+            if cell is None:
+                landed[dst] = [term * numerator, at, mass * numerator]
+                continue
             if at < cell[1]:
                 cell[0], cell[1] = cell[0] << (cell[1] - at) * bits, at
             cell[0] += term * numerator << (at - cell[1]) * bits
@@ -144,6 +150,11 @@ class CappedPolynomial:
         data = self._value.to_bytes(span * size, "little")
         cells = [int.from_bytes(data[i : i + size], "little") for i in range(0, span * size, size)]
         return self.support_min + self._offset, cells, self._den
+
+    @property
+    def stored_bits(self) -> int:
+        """The stored cells times the bit length of their unreduced denominator, unpacking none."""
+        return self._span * self._den.bit_length()
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -1,5 +1,6 @@
 """Command-line wiring: exit codes, formats, and library agreement."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,14 +10,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from capchain import (
+    Edge,
+    WeightedMarkovChain,
     builtin_game,
     compile_game,
     format_fraction,
     render_stats,
     run_absorption,
     simulate,
+    stats_json_dict,
     summarize,
 )
 from capchain import cli
@@ -28,6 +33,8 @@ from capchain.cli import (
     compare_statistics,
     main,
 )
+
+from _testlib import small_chains
 
 CHAIN_DOC = {
     "transient": ["a", "b"],
@@ -114,6 +121,61 @@ def test_analyze_full_record_text(capsys):
     assert code == EXIT_OK
     assert "absorbed polynomials (conditional on absorption):" in out
     assert "round   3  state    9" in out
+
+
+def fraction_built_report(record, win_capital, fmt):
+    """The full-record report built the plain way: a Fraction per cell, `json.dumps` over the record."""
+    stats = summarize(record, win_capital)
+    entries = sorted(record.conditional().absorbed.items())
+    if fmt == "text":
+        return render_stats(stats, 13) + "\nabsorbed polynomials (conditional on absorption):\n" + "".join(
+            f"round {round_index:>3}  state {state:>4}  {poly}\n" for (round_index, state), poly in entries
+        )
+    report = stats_json_dict(stats, 13)
+    report["record"] = [
+        {
+            "round": round_index,
+            "state": state,
+            "mass": str(poly.mass()),
+            "coefficients": {str(exponent): str(coeff) for exponent, coeff in poly.terms()},
+        }
+        for (round_index, state), poly in entries
+    ]
+    return json.dumps(report, indent=2) + "\n"
+
+
+# All mass is absorbed by round 2, so epsilon is 0 and conditional() returns the record itself.
+CERTAIN_CHAIN = WeightedMarkovChain(
+    ("t0", "t1"), ("a0",), (Edge("t0", "t1", Fraction(1), 1), Edge("t1", "a0", Fraction(1), 2)), (0, 3)
+)
+# Coprime edge denominators 7 and 11: the cells of one row reduce to up to four different denominators.
+COPRIME_CHAIN = WeightedMarkovChain(
+    ("t0", "t1"),
+    ("a0", "a1"),
+    (
+        Edge("t0", "t0", Fraction(2, 7), 1),
+        Edge("t0", "t1", Fraction(3, 7), -1),
+        Edge("t0", "a0", Fraction(2, 7), 0),
+        Edge("t1", "t0", Fraction(5, 11), 2),
+        Edge("t1", "a1", Fraction(4, 11), 0),
+        Edge("t1", "t1", Fraction(2, 11), -2),
+    ),
+    (-2, 4),
+)
+
+
+@settings(deadline=None)
+@given(chain=small_chains(), rounds=st.integers(1, 10), fmt=st.sampled_from(["text", "json"]))
+@example(chain=CERTAIN_CHAIN, rounds=3, fmt="text")
+@example(chain=CERTAIN_CHAIN, rounds=3, fmt="json")
+@example(chain=COPRIME_CHAIN, rounds=8, fmt="text")
+@example(chain=COPRIME_CHAIN, rounds=8, fmt="json")
+def test_full_record_matches_the_fraction_built_report(chain, rounds, fmt):
+    record = run_absorption(chain, chain.transient[0], rounds)
+    assume(record.epsilon != 1)
+    config = argparse.Namespace(format=fmt, full_record=True, digits=13)
+    expected = fraction_built_report(record, chain.support[1], fmt)
+    assert cli._analysis_report(record, chain.support[1], config) == expected
 
 
 def test_analyze_degenerate_horizon(capsys):
@@ -311,8 +373,8 @@ def test_fractions_past_the_int_digit_limit_render(tmp_path, capsys, full_record
 
 
 # A walk whose rows spread over a 10000-cell window: its record at M = 1000
-# sums to 3.3e9 cell bits, and printing it used to pass 2 GB.  The run itself
-# needs about 450 MB; the child gets 1.5 GB of address space and two minutes,
+# sums to 3.3e9 cell bits, and printing it used to pass 2 GB.  Run to the end
+# it needs about 450 MB; the child gets 1.5 GB of address space and two minutes,
 # so an engine without the limit fails here instead of exhausting memory.
 def test_full_record_over_the_limit_is_a_usage_error(tmp_path):
     walk = {

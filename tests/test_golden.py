@@ -45,6 +45,20 @@ RECORD_CHAIN = {
     ],
 }
 
+# Absorbing states whose names JSON must escape: a quote, a backslash, non-ASCII.
+ESCAPED_CHAIN = {
+    "transient": ["a", "b"],
+    "absorbing": ['q"uote', "back\\slash", "\u00fcn\u00ef"],
+    "support": {"min": -1, "max": 4},
+    "edges": [
+        {"src": "a", "dst": "b", "prob": "2/7", "weight": 2},
+        {"src": "a", "dst": "\u00fcn\u00ef", "prob": "3/7", "weight": -2},
+        {"src": "a", "dst": 'q"uote', "prob": "2/7", "weight": 1},
+        {"src": "b", "dst": "a", "prob": "1/3", "weight": 3},
+        {"src": "b", "dst": "back\\slash", "prob": "2/3", "weight": 0},
+    ],
+}
+
 CASES = {
     **{
         f"analyze-{board}-{fmt}{'-record' if record else ''}": [
@@ -79,6 +93,8 @@ CASES = {
     ],
     "analyze-chain-text-record": ["analyze", "{record}", "--full-record"],
     "analyze-chain-json-record": ["analyze", "{record}", "--full-record", "--format", "json"],
+    "analyze-escaped-text-record": ["analyze", "{escaped}", "-M", "20", "--full-record"],
+    "analyze-escaped-json-record": ["analyze", "{escaped}", "-M", "20", "--full-record", "--format", "json"],
     "invalid-chain": ["analyze", "{chain}"],
     "invalid-game": ["analyze", "{game}"],
     "horizon-over-limit": ["analyze", "--builtin", "simplified", "-M", "1001"],
@@ -96,6 +112,16 @@ GOLDEN = {
     "analyze-chain-text-record": (
         0,
         "31a378897e09fe18eeacd2a2cee30361688f30416655ba38377a5e0f8f2f5ecb",
+        EMPTY,
+    ),
+    "analyze-escaped-json-record": (
+        0,
+        "3d20ef1fb29d97c637876f0a7c76b8f63a10683badc10d869a894243ccec02b0",
+        EMPTY,
+    ),
+    "analyze-escaped-text-record": (
+        0,
+        "9be2697c40b91f906214414cd3f2a30ee952ef89fdf8a4f54266128ee4e51a54",
         EMPTY,
     ),
     "analyze-full-json": (
@@ -197,7 +223,7 @@ GOLDEN = {
 
 
 def run_case(name, directory):
-    documents = {"chain": INVALID_CHAIN, "game": INVALID_GAME, "record": RECORD_CHAIN}
+    documents = {"chain": INVALID_CHAIN, "game": INVALID_GAME, "record": RECORD_CHAIN, "escaped": ESCAPED_CHAIN}
     paths = {key: directory / f"{key}.json" for key in documents}
     for key, document in documents.items():
         paths[key].write_text(json.dumps(document))

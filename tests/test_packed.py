@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capchain import CappedPolynomial, Edge, WeightedMarkovChain, run_absorption, summarize, umbra_step
+from capchain import poly as poly_module
 
 from _testlib import oracle_step, small_chains
 
@@ -87,6 +88,21 @@ def test_cells_at_the_edge_of_their_width_survive_a_wider_round(k, end):
     assert sum(poly.mass() for polys in stepped for poly in polys.values()) == sum(
         poly.mass() for poly in rows.values()
     )
+
+
+@pytest.mark.parametrize("weight, clamps", [(-3, True), (-2, False), (2, False), (3, True)])
+def test_a_move_onto_an_end_cell_stays_in_the_window(monkeypatch, weight, clamps):
+    # The row's cells sit on exponents 2 and 3 of the window [0, 5]: a shift of
+    # -2 lands its lowest cell on the floor and +2 its highest on the cap, so
+    # both stay inside the window; one cell further, the move clamps.
+    clamped_moves = []
+    clamped = poly_module._clamped
+    monkeypatch.setattr(poly_module, "_clamped", lambda *args: clamped_moves.append(args) or clamped(*args))
+    edges = (Edge("a", "z", Fraction(2, 3), weight), Edge("a", "a", Fraction(1, 3), 0))
+    chain = WeightedMarkovChain(("a",), ("z",), edges, (0, 5))
+    rows = {"a": CappedPolynomial(0, 5, [0, 0, Fraction(1, 4), Fraction(3, 4), 0, 0])}
+    assert as_dicts(umbra_step(chain, rows)) == oracle_step(chain, rows)
+    assert len(clamped_moves) == clamps
 
 
 @pytest.mark.parametrize("lo", [0, -5000])

@@ -7,8 +7,8 @@ statistic at 4 standard errors; `dump-chain` prints the compiled
 chain as JSON.  Input documents are autodetected: a top-level "board"
 field means a game spec, a top-level "edges" field means a chain.
 `_run_exact` is the one exact run and `_emit` the one writer; a report
-stays a text string or a JSON dict until `_emit` writes it, except that a
-JSON report with the full record is rendered to text beside its record.
+stays a text string or a JSON dict until `_emit` writes it; a JSON report
+with the full record is the one that `_analysis_report` writes out itself.
 
 Exit codes: 0 success, 1 runtime failure (including a failed
 comparison), 2 input or validation error.

@@ -12,6 +12,7 @@ from capchain import (
     ChainFormatError,
     Edge,
     InvalidChainError,
+    RecordTooLargeError,
     WeightedMarkovChain,
     chain_to_json_dict,
     dumps_chain,
@@ -224,6 +225,15 @@ def test_run_rejects_bad_start_and_horizon(simplified_chain):
         run_absorption(simplified_chain, "1", 0)
     with pytest.raises(ValueError, match=f"between 1 and {MAX_ROUNDS}"):
         run_absorption(simplified_chain, "1", MAX_ROUNDS + 1)
+
+
+def test_a_record_of_exactly_the_limit_runs_and_one_bit_more_stops(simplified_chain):
+    record = run_absorption(simplified_chain, "1", 40)
+    rows = [poly.stored_cells() for poly in record.absorbed.values()]
+    size = sum(len(cells) * denominator.bit_length() for _, cells, denominator in rows)
+    assert run_absorption(simplified_chain, "1", 40, max_record_bits=size) == record
+    with pytest.raises(RecordTooLargeError, match=f"at least {size} cells x denominator bits, over the {size - 1} limit"):
+        run_absorption(simplified_chain, "1", 40, max_record_bits=size - 1)
 
 
 def test_run_rejects_invalid_chains():

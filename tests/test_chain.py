@@ -236,6 +236,17 @@ def test_a_record_of_exactly_the_limit_runs_and_one_bit_more_stops(simplified_ch
         run_absorption(simplified_chain, "1", 40, max_record_bits=size - 1)
 
 
+def test_a_record_over_the_limit_stops_the_run_at_the_first_round_that_passes_it(simplified_chain):
+    record = run_absorption(simplified_chain, "1", 40)
+    first = min(round_index for round_index, _ in record.absorbed)
+    rows = [poly.stored_cells() for (round_index, _), poly in record.absorbed.items() if round_index == first]
+    size = sum(len(cells) * denominator.bit_length() for _, cells, denominator in rows)
+    assert first < 40 and 0 < size < sum(poly.stored_bits for poly in record.absorbed.values())
+    # The total reported is the first absorbing round's alone: later rounds never ran.
+    with pytest.raises(RecordTooLargeError, match=f"at least {size} cells x denominator bits, over the 0 limit"):
+        run_absorption(simplified_chain, "1", 40, max_record_bits=0)
+
+
 def test_run_rejects_invalid_chains():
     # An unsound chain cannot be built, so it never reaches run_absorption.
     with pytest.raises(InvalidChainError):

@@ -405,6 +405,9 @@ def test_full_record_over_the_limit_is_a_usage_error(tmp_path):
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr.startswith("error: the full record holds ")
     assert proc.stderr.endswith(f" cells x denominator bits, over the {MAX_RECORD_BITS} limit\n")
+    # Stopped within a round of the limit, not after all 1000 rounds (3.3e9).
+    held = int(proc.stderr.removeprefix("error: the full record holds at least ").split(" ", 1)[0])
+    assert MAX_RECORD_BITS < held < 2 * MAX_RECORD_BITS
 
 
 @pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])

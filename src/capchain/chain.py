@@ -33,17 +33,17 @@ StateVector = Dict[str, CappedPolynomial]
 # big-int operations per live state and out-edge, on packed rows of up to a
 # window of cells whose numerators grow up to log2(D) bits a round, D being
 # the lcm of the edge probability denominators; the record keeps a row per
-# (round, absorbing state).  At M = 1000 on a 2-core machine a run stays
-# within 1 s and 18 MB for the full game, 7 s and 344 MB for a random walk
-# on a 10000-cell window, and 3 s and 36 MB for a 41-cell chain with
+# (round, absorbing state).  At M = 1000 on a 2-core machine `analyze` stays
+# within 1 s and 17 MB for the full game, 5 s and 354 MB for a random walk
+# on a 10000-cell window, and 3 s and 30 MB for a 41-cell chain with
 # D = 2^64 - 59 (CHANGES.md has the cases).
 MAX_WINDOW = 10_000
 MAX_ROUNDS = 1_000
 MAX_DENOMINATOR_BITS = 64
 # A full record prints a numerator and a denominator per stored cell: at most about a byte
 # per bit of its sum over rows of cells x denominator bits.  Twice the full game's at M = 1000
-# (5.2e7: 48 MB of JSON, 2 s, 164 MB); at the limit a D = 3 walk on 10000 cells prints 38 MB
-# in 2 s at 153 MB.  The sum only grows with the rounds, so `run_absorption` stops a run as
+# (5.2e7: 48 MB of JSON, 2 s, 72 MB); at the limit a D = 3 walk on 10000 cells prints 38 MB
+# in 1.5 s at 112 MB.  The sum only grows with the rounds, so `run_absorption` stops a run as
 # soon as it passes the limit.
 MAX_RECORD_BITS = 100_000_000
 
@@ -191,10 +191,11 @@ def umbra_step(
     as integers over their lcm; this function checks the input and
     splits the landed rows into the two sides.
     """
+    lo, hi = chain.support
     for src, poly in state_vector.items():
         if src not in chain.transient_set:
             raise ValueError(f"state vector entry {src!r} is not a transient state")
-        if poly.support != chain.support:
+        if poly.support_min != lo or poly.support_max != hi:
             raise ValueError(
                 f"state {src!r}: polynomial support {poly.support} does not match "
                 f"chain support {chain.support}"

@@ -7,8 +7,9 @@ statistic at 4 standard errors; `dump-chain` prints the compiled
 chain as JSON.  Input documents are autodetected: a top-level "board"
 field means a game spec, a top-level "edges" field means a chain.
 `_run_exact` is the one exact run and `_emit` the one writer; a report
-stays a text string or a JSON dict until `_emit` writes it; a JSON report
-with the full record is the one that `_analysis_report` writes out itself.
+stays a text string or a JSON dict until `_emit` writes it, except a report
+with the full record: `_analysis_report` writes it out itself as a list of
+text parts, which `_emit` writes one by one.
 
 Exit codes: 0 success, 1 runtime failure (including a failed
 comparison), 2 input or validation error.
@@ -122,39 +123,52 @@ def _unlimited_int_text():
         set_limit(limit)
 
 
-def _emit(report: Union[str, dict], config: argparse.Namespace) -> None:
-    """Write a text report as is, or a JSON report dict as an indented document."""
-    text = report if isinstance(report, str) else json.dumps(report, indent=2) + "\n"
+def _emit(report: Union[str, list[str], dict], config: argparse.Namespace) -> None:
+    """Write a text report or a list of text parts as is, or a JSON report dict as an indented document."""
+    if isinstance(report, dict):
+        report = json.dumps(report, indent=2) + "\n"
+    parts = [report] if isinstance(report, str) else report
     if config.output:
-        Path(config.output).write_text(text)
+        with open(config.output, "w") as out:
+            out.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _row_texts(poly: CappedPolynomial) -> tuple[str, list[tuple[int, str]]]:
     """A row's mass and its (exponent, coefficient) per nonzero cell, as `str(Fraction)` prints them.
 
-    One gcd per value; the values share a denominator, so its "/q" text is
-    built once per distinct gcd.
+    The values share a denominator q, so its "/q" text is built once per distinct
+    gcd.  A cell's gcd with q divides the product of the nonzero cells, so it is
+    its gcd with g = gcd(that product mod q, q): one gcd at q's size for the row,
+    and one with the small g per cell.
     """
     first, cells, denominator = poly.stored_cells()
     suffixes: dict[int, str] = {}  # gcd with the denominator -> "/q", "" for q = 1
+    product = 1
+    for numerator in cells:
+        if numerator:
+            product = product * numerator % denominator
+    shared = gcd(product, denominator)
 
-    def text(numerator: int) -> str:
-        common = gcd(numerator, denominator)
+    def text(numerator: int, divisor: int) -> str:
+        common = gcd(numerator, divisor)
         suffix = suffixes.get(common)
         if suffix is None:
             reduced = denominator // common
             suffix = suffixes[common] = f"/{reduced}" if reduced > 1 else ""
         return f"{numerator // common}{suffix}"
 
-    return text(sum(cells)), [(exponent, text(n)) for exponent, n in enumerate(cells, first) if n]
+    texts = [(exponent, text(n, shared)) for exponent, n in enumerate(cells, first) if n]
+    return text(sum(cells), denominator), texts
 
 
 def _analysis_report(
     record: AbsorptionRecord, win_capital: int, config: argparse.Namespace
-) -> Union[str, dict]:
-    """The analyze report: text, or the JSON report dict; with the full record, JSON text.
+) -> Union[str, list[str], dict]:
+    """The analyze report: text, or the JSON report dict; with the full record, a list of text parts.
+
+    A full record is never joined into one string: `_emit` writes its parts as they are.
 
     The record's JSON is written here as `json.dumps(report, indent=2)` would write
     it, an array after the statistics (absorbed rows are never zero), because with
@@ -178,7 +192,7 @@ def _analysis_report(
         for (round_index, state), poly in entries:
             terms = " + ".join(f"{text}*t^{exponent}" for exponent, text in _row_texts(poly)[1])
             parts.append(f"round {round_index:>3}  state {state:>4}  {terms}\n")
-        return "".join(parts)
+        return parts
     parts = [json.dumps(report, indent=2)[:-2], ',\n  "record": [']  # the statistics less their closing "\n}"
     for (round_index, state), poly in entries:
         mass, cells = _row_texts(poly)
@@ -189,7 +203,7 @@ def _analysis_report(
         )
     parts[-1] = parts[-1][:-1]  # no comma after the last entry
     parts.append("\n  ]\n}\n")
-    return "".join(parts)
+    return parts
 
 
 def cmd_analyze(config: argparse.Namespace) -> int:

@@ -25,7 +25,7 @@ row, which `terms`, `coeffs`, equality, hashing and `repr` go through.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 # Anything Fraction() accepts losslessly: 3, Fraction(1, 3), "1/3".
@@ -65,39 +65,56 @@ def scatter(rows: Mapping, moves: Mapping, scale: int, support: tuple[int, int])
     arithmetic at one cell width that holds its whole mass: a move is a
     shift, a split and a residue where it clamps, and a multiply-add.
     """
-    live = [(src, poly) for src, poly in rows.items() if not poly.is_zero]
-    common = lcm(*(poly._den for _, poly in live))
+    live = [(src, poly) for src, poly in rows.items() if poly._value]
+    denominators = {poly._den for _, poly in live}  # after the first round, one
+    common = lcm(*denominators)
     lo, hi = support
     width = hi - lo + 1
     # No landed cell exceeds the round's lifted mass; past the current width the
     # width grows by a quarter at least, so rows are repacked O(log M) times.
-    bound = scale * sum(poly._mass * (common // poly._den) for _, poly in live)
-    bits = max((poly._bits for _, poly in live), default=8)
+    if len(denominators) == 1:
+        bound = scale * sum([poly._mass for _, poly in live])
+    else:
+        bound = scale * sum(poly._mass * (common // poly._den) for _, poly in live)
+    bits = max([poly._bits for _, poly in live], default=8)
     if bound >> (bits - 1):
         bits = _cell_bits(max(bound, 1 << bits * 5 // 4))
+    cell_mask = (1 << bits) - 1
     landed: dict = {}  # target -> [packed cells, offset, mass]
     for src, poly in live:
-        lift = common // poly._den
-        mass = poly._mass * lift
-        value = poly._value * lift if bits == poly._bits else _pack([n * lift for n in poly.stored_cells()[1]], bits)
+        value, mass = poly._value, poly._mass
+        if poly._den != common or poly._bits != bits:  # after the first round, rows are used as stored
+            lift = common // poly._den
+            mass *= lift
+            value = value * lift if bits == poly._bits else _pack([n * lift for n in poly.stored_cells()[1]], bits)
         offset, span = poly._offset, poly._span
         for dst, numerator, weight in moves[src]:
-            # Scale and shift: the engine's hot path and only scatter.  Most moves stay inside the window.
+            # Scale and shift: the engine's hot path and only scatter.  Most moves stay inside
+            # the window, and most of the rest land one cell below the floor: fold that one inline.
             at = offset + weight
             if 0 <= at and at + span <= width:
                 term = value
+            elif at == -1:
+                term, at = (value >> bits) + (value & cell_mask), 0
             else:
                 term, at = _clamped(value, offset, span, bits, weight, width)
+            if numerator == 1:
+                moved = mass
+            else:
+                term *= numerator
+                moved = mass * numerator
             cell = landed.get(dst)
             if cell is None:
-                landed[dst] = [term * numerator, at, mass * numerator]
+                landed[dst] = [term, at, moved]
                 continue
             if at < cell[1]:
-                cell[0], cell[1] = cell[0] << (cell[1] - at) * bits, at
-            cell[0] += term * numerator << (at - cell[1]) * bits
-            cell[2] += mass * numerator
+                cell[0], cell[1] = term + (cell[0] << (cell[1] - at) * bits), at
+            else:
+                cell[0] += term << (at - cell[1]) * bits
+            cell[2] += moved
+    denominator = common * scale
     return {
-        dst: CappedPolynomial._packed(lo, hi, value, offset, bits, common * scale, mass)
+        dst: CappedPolynomial._packed(lo, hi, value, offset, bits, denominator, mass)
         for dst, (value, offset, mass) in landed.items()
     }
 
@@ -111,6 +128,8 @@ class CappedPolynomial:
     cells are stored packed (see the module docstring).
     """
 
+    __slots__ = ("support_min", "support_max", "_value", "_offset", "_span", "_bits", "_den", "_mass")
+
     def __init__(self, support_min: int, support_max: int, coeffs: Sequence[RationalLike]):
         if support_min > support_max:
             raise ValueError(f"inverted support [{support_min}, {support_max}]")
@@ -123,15 +142,17 @@ class CappedPolynomial:
             )
         denominator = lcm(*(f.denominator for f in fractions))
         numerators = [f.numerator * (denominator // f.denominator) for f in fractions]
-        vars(self).update(vars(self._from_numerators(support_min, support_max, numerators, denominator)))
+        built = self._from_numerators(support_min, support_max, numerators, denominator)
+        for name in self.__slots__:
+            setattr(self, name, getattr(built, name))
 
     @classmethod
     def _packed(cls, support_min, support_max, value, offset, bits, denominator, mass):
         """Wrap packed cells from `offset` on, summing to `mass` < 2^(bits-1), the lowest nonzero unless all are."""
         poly = cls.__new__(cls)
-        vars(poly).update(support_min=support_min, support_max=support_max, _value=value, _offset=offset,
-                          _span=value.bit_length() // bits + 1 if value else 0, _bits=bits,
-                          _den=denominator, _mass=mass)
+        poly.support_min, poly.support_max, poly._value, poly._offset = support_min, support_max, value, offset
+        poly._span = value.bit_length() // bits + 1 if value else 0
+        poly._bits, poly._den, poly._mass = bits, denominator, mass
         return poly
 
     @classmethod
@@ -204,10 +225,16 @@ class CappedPolynomial:
                 yield exponent, Fraction(numerator, denominator)
 
     def scale(self, factor: RationalLike) -> "CappedPolynomial":
-        """Multiply every coefficient by an exact nonnegative rational factor."""
+        """Multiply every coefficient by an exact nonnegative rational factor, cancelling as `Fraction` does.
+
+        The gcd of the factor's numerator and the row's denominator is taken out first, so a
+        factor that undoes most of the denominator leaves a short one.
+        """
         f = Fraction(factor)
-        numerators = [n * f.numerator for n in self.stored_cells()[1]]
-        return self._from_numerators(*self.support, numerators, self._den * f.denominator, self._offset)
+        common = gcd(f.numerator, self._den)
+        numerator, denominator = f.numerator // common, self._den // common * f.denominator
+        numerators = [n * numerator for n in self.stored_cells()[1]]
+        return self._from_numerators(*self.support, numerators, denominator, self._offset)
 
     def mass(self) -> Fraction:
         """Exact sum of all coefficients, i.e. the value at t = 1."""

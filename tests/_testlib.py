@@ -62,6 +62,22 @@ def small_chains(draw, max_transient: int = 4, max_absorbing: int = 2):
     return WeightedMarkovChain(transient, absorbing, tuple(edges), (lo, hi))
 
 
+# Coprime edge denominators 7 and 11: the cells of one row reduce to up to four different denominators.
+COPRIME_CHAIN = WeightedMarkovChain(
+    ("t0", "t1"),
+    ("a0", "a1"),
+    (
+        Edge("t0", "t0", Fraction(2, 7), 1),
+        Edge("t0", "t1", Fraction(3, 7), -1),
+        Edge("t0", "a0", Fraction(2, 7), 0),
+        Edge("t1", "t0", Fraction(5, 11), 2),
+        Edge("t1", "a1", Fraction(4, 11), 0),
+        Edge("t1", "t1", Fraction(2, 11), -2),
+    ),
+    (-2, 4),
+)
+
+
 @st.composite
 def chain_and_vector(draw, **kwargs):
     """A chain plus a state vector on it with total mass at most 1."""

@@ -1,10 +1,10 @@
 """Chain model, umbral evolution, absorption records, JSON round-trips."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capchain import (
     AbsorptionRecord,
@@ -24,6 +24,7 @@ from capchain.chain import MAX_ROUNDS, MAX_WINDOW
 
 from _oracle import brute_force_record
 from _testlib import (
+    COPRIME_CHAIN,
     chain_and_vector,
     marginal_capital,
     marginal_rounds,
@@ -285,6 +286,33 @@ def test_conditional_rescales_absorbed_mass_to_one():
 def test_conditional_of_simplified_run_has_unit_mass(simplified_chain):
     record = run_absorption(simplified_chain, "1", 60)
     assert total_absorbed_mass(record.conditional()) == 1
+
+
+def test_conditioned_rows_are_stored_cancelled(full_chain):
+    # The absorbed rows keep their scatter denominators 6^r.  Conditioning
+    # multiplies them by 1 / (1 - epsilon), whose numerator shares most of
+    # 6^r: `scale` takes that gcd out first, so the conditioned rows carry
+    # 310-311-bit denominators, not the 615-620 bits of the plain product.
+    record = run_absorption(full_chain, "1", 120)
+    assert all(poly.stored_cells()[2] == 6**round_index for (round_index, _), poly in record.absorbed.items())
+    assert max(poly.stored_cells()[2].bit_length() for poly in record.conditional().absorbed.values()) <= 311
+
+
+@settings(deadline=None)
+@given(
+    chain=small_chains(),
+    rounds=st.integers(1, 6),
+    factor=st.just(Fraction(0)) | st.fractions(min_value=0, max_value=100, max_denominator=1000),
+)
+@example(chain=COPRIME_CHAIN, rounds=8, factor=Fraction(0))
+@example(chain=COPRIME_CHAIN, rounds=8, factor=Fraction(77**3, 10))
+def test_scale_cancels_and_keeps_the_fraction_products(chain, rounds, factor):
+    record = run_absorption(chain, chain.transient[0], rounds)
+    for poly in [*record.absorbed.values(), *record.residual.values()]:
+        scaled = poly.scale(factor)
+        assert list(scaled.terms()) == [(exponent, c * factor) for exponent, c in poly.terms() if factor]
+        denominator = poly.stored_cells()[2]
+        assert scaled.stored_cells()[2] == denominator // gcd(factor.numerator, denominator) * factor.denominator
 
 
 def test_conditional_requires_some_absorption(simplified_chain):

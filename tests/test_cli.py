@@ -34,7 +34,7 @@ from capchain.cli import (
     main,
 )
 
-from _testlib import small_chains
+from _testlib import COPRIME_CHAIN, small_chains
 
 CHAIN_DOC = {
     "transient": ["a", "b"],
@@ -148,20 +148,6 @@ def fraction_built_report(record, win_capital, fmt):
 CERTAIN_CHAIN = WeightedMarkovChain(
     ("t0", "t1"), ("a0",), (Edge("t0", "t1", Fraction(1), 1), Edge("t1", "a0", Fraction(1), 2)), (0, 3)
 )
-# Coprime edge denominators 7 and 11: the cells of one row reduce to up to four different denominators.
-COPRIME_CHAIN = WeightedMarkovChain(
-    ("t0", "t1"),
-    ("a0", "a1"),
-    (
-        Edge("t0", "t0", Fraction(2, 7), 1),
-        Edge("t0", "t1", Fraction(3, 7), -1),
-        Edge("t0", "a0", Fraction(2, 7), 0),
-        Edge("t1", "t0", Fraction(5, 11), 2),
-        Edge("t1", "a1", Fraction(4, 11), 0),
-        Edge("t1", "t1", Fraction(2, 11), -2),
-    ),
-    (-2, 4),
-)
 
 
 @settings(deadline=None)
@@ -175,7 +161,7 @@ def test_full_record_matches_the_fraction_built_report(chain, rounds, fmt):
     assume(record.epsilon != 1)
     config = argparse.Namespace(format=fmt, full_record=True, digits=13)
     expected = fraction_built_report(record, chain.support[1], fmt)
-    assert cli._analysis_report(record, chain.support[1], config) == expected
+    assert "".join(cli._analysis_report(record, chain.support[1], config)) == expected
 
 
 def test_analyze_degenerate_horizon(capsys):
@@ -668,6 +654,14 @@ def test_output_flag_writes_a_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(target.read_text())["M"] == 60
+    # The file gets byte for byte what stdout gets: a JSON report, and a full
+    # record in either format, which is written as a list of parts.
+    for extra in (["--format", "json"], ["--format", "json", "--full-record"], ["--full-record"]):
+        argv = ["analyze", "--builtin", "simplified", "-M", "20", *extra]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert run_cli(capsys, *argv, "--output", str(target)) == (EXIT_OK, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 def test_missing_input_is_a_usage_error(capsys):

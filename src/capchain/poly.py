@@ -83,7 +83,7 @@ def scatter(rows: Mapping, moves: Mapping, scale: int, support: tuple[int, int])
     landed: dict = {}  # target -> [packed cells, offset, mass]
     for src, poly in live:
         value, mass = poly._value, poly._mass
-        if poly._den != common or poly._bits != bits:  # after the first round, rows are used as stored
+        if poly._den != common or poly._bits != bits:  # a row on the round's denominator and width is used as stored
             lift = common // poly._den
             mass *= lift
             value = value * lift if bits == poly._bits else _pack([n * lift for n in poly.stored_cells()[1]], bits)

@@ -64,6 +64,11 @@ class InvalidChainError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def is_int(value: object) -> bool:
+    """An `int` and not a `bool`: what every integer field of a chain or a game must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Edge(NamedTuple):
     """One transition: src --(prob, weight)--> dst; a chain stores prob as a Fraction."""
 
@@ -126,7 +131,7 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 violations.append(f"state {state!r} declared more than once")
             seen.add(state)
         lo, hi = self.support
-        if not isinstance(lo, int) or not isinstance(hi, int):
+        if not (is_int(lo) and is_int(hi)):
             violations.append(f"capital support ({lo!r}, {hi!r}) must be two integers")
         elif lo > hi:
             violations.append(f"inverted capital support [{lo}, {hi}]")
@@ -150,7 +155,7 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 problem = "is not positive" if edge.prob <= 0 else "exceeds 1"
                 violations.append(f"{label}: {shown} {problem}")
                 totals.pop(edge.src, None)
-            if not isinstance(edge.weight, int):
+            if not is_int(edge.weight):
                 violations.append(f"{label}: weight {edge.weight!r} is not an integer")
             if edge.src in self.absorbing_set:
                 violations.append(
@@ -330,13 +335,7 @@ def chain_from_json_dict(data: object) -> WeightedMarkovChain:
     if not isinstance(absorbing, list) or not all(isinstance(s, str) for s in absorbing):
         raise ChainFormatError("'absorbing' must be a list of state ids")
     support = data["support"]
-    if (
-        not isinstance(support, dict)
-        or not isinstance(support.get("min"), int)
-        or not isinstance(support.get("max"), int)
-        or isinstance(support.get("min"), bool)
-        or isinstance(support.get("max"), bool)
-    ):
+    if not isinstance(support, dict) or not (is_int(support.get("min")) and is_int(support.get("max"))):
         raise ChainFormatError("'support' must be an object with integer 'min' and 'max'")
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
@@ -352,7 +351,7 @@ def chain_from_json_dict(data: object) -> WeightedMarkovChain:
         if not isinstance(item["src"], str) or not isinstance(item["dst"], str):
             raise ChainFormatError(f"{where}: 'src' and 'dst' must be state ids")
         weight = item["weight"]
-        if isinstance(weight, bool) or not isinstance(weight, int):
+        if not is_int(weight):
             raise ChainFormatError(f"{where}: 'weight' must be an integer")
         edges.append(
             Edge(

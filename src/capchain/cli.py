@@ -9,7 +9,8 @@ field means a game spec, a top-level "edges" field means a chain.
 `_run_exact` is the one exact run and `_emit` the one writer; a report
 stays a text string or a JSON dict until `_emit` writes it, except a report
 with the full record: `_analysis_report` writes it out itself as a list of
-text parts, which `_emit` writes one by one.
+text parts, which `_emit` writes one by one.  A record row prints itself
+(`str(poly)`, `poly.texts()`): this module keeps only the report layout.
 
 Exit codes: 0 success, 1 runtime failure (including a failed
 comparison), 2 input or validation error.
@@ -23,7 +24,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, inf, sqrt
+from math import inf, sqrt
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -39,7 +40,6 @@ from .chain import (
     run_absorption,
 )
 from .game import GameSpec, GameSpecError, builtin_game, compile_game, parse_game_spec
-from .poly import CappedPolynomial
 from .simulator import SimulationReport, simulate
 from .stats import (
     MAX_DIGITS,
@@ -84,24 +84,22 @@ def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
     )
 
 
-def _run_exact(
-    document: Union[GameSpec, dict], rounds: int, max_record_bits: float = inf
-) -> tuple[AbsorptionRecord, int]:
-    """Run the exact engine on a loaded input; return its record and winning capital.
+def _run_exact(document: Union[GameSpec, dict], rounds: int, max_record_bits: float = inf) -> AbsorptionRecord:
+    """Run the exact engine on a loaded input and return its record.
 
-    A game starts on square "1" and wins at its win threshold; a chain starts at its
-    "start" state (default: its first transient state) and wins at its window's top.
-    A record past `max_record_bits` raises RecordTooLargeError during the run.
+    A game starts on square "1"; a chain starts at its "start" state (default: its
+    first transient state).  Both win at the window's top, `record.support[1]`: a
+    game's window is 0..win_threshold.  A record past `max_record_bits` raises
+    RecordTooLargeError during the run.
     """
     if isinstance(document, GameSpec):
-        chain, start, win_capital = compile_game(document), "1", document.win_threshold
+        chain, start = compile_game(document), "1"
     else:
         chain = chain_from_json_dict(document)
         start = document.get("start", chain.transient[0])
         if not isinstance(start, str) or start not in chain.transient_set:
             raise UsageError(f"start state {start!r} is not a transient state of the chain")
-        win_capital = chain.support[1]
-    return run_absorption(chain, start, rounds, max_record_bits), win_capital
+    return run_absorption(chain, start, rounds, max_record_bits)
 
 
 def _require_game(config: argparse.Namespace) -> GameSpec:
@@ -135,37 +133,7 @@ def _emit(report: Union[str, list[str], dict], config: argparse.Namespace) -> No
         sys.stdout.writelines(parts)
 
 
-def _row_texts(poly: CappedPolynomial) -> tuple[str, list[tuple[int, str]]]:
-    """A row's mass and its (exponent, coefficient) per nonzero cell, as `str(Fraction)` prints them.
-
-    The values share a denominator q, so its "/q" text is built once per distinct
-    gcd.  A cell's gcd with q divides the product of the nonzero cells, so it is
-    its gcd with g = gcd(that product mod q, q): one gcd at q's size for the row,
-    and one with the small g per cell.
-    """
-    first, cells, denominator = poly.stored_cells()
-    suffixes: dict[int, str] = {}  # gcd with the denominator -> "/q", "" for q = 1
-    product = 1
-    for numerator in cells:
-        if numerator:
-            product = product * numerator % denominator
-    shared = gcd(product, denominator)
-
-    def text(numerator: int, divisor: int) -> str:
-        common = gcd(numerator, divisor)
-        suffix = suffixes.get(common)
-        if suffix is None:
-            reduced = denominator // common
-            suffix = suffixes[common] = f"/{reduced}" if reduced > 1 else ""
-        return f"{numerator // common}{suffix}"
-
-    texts = [(exponent, text(n, shared)) for exponent, n in enumerate(cells, first) if n]
-    return text(sum(cells), denominator), texts
-
-
-def _analysis_report(
-    record: AbsorptionRecord, win_capital: int, config: argparse.Namespace
-) -> Union[str, list[str], dict]:
+def _analysis_report(record: AbsorptionRecord, config: argparse.Namespace) -> Union[str, list[str], dict]:
     """The analyze report: text, or the JSON report dict; with the full record, a list of text parts.
 
     A full record is never joined into one string: `_emit` writes its parts as they are.
@@ -182,20 +150,18 @@ def _analysis_report(
         epsilon = epsilon_pair(record.epsilon, config.digits)
         empty = {"record": []} if config.full_record else {}
         return {"M": record.rounds_run, "epsilon": epsilon, "statistics": None, **empty}
-    stats = summarize(record, win_capital)
+    stats = summarize(record, record.support[1])
     report = (stats_json_dict if as_json else render_stats)(stats, config.digits)
     if not config.full_record:
         return report
     entries = sorted(record.conditional().absorbed.items())
     if not as_json:
         parts = [report, "\nabsorbed polynomials (conditional on absorption):\n"]
-        for (round_index, state), poly in entries:
-            terms = " + ".join(f"{text}*t^{exponent}" for exponent, text in _row_texts(poly)[1])
-            parts.append(f"round {round_index:>3}  state {state:>4}  {terms}\n")
+        parts += [f"round {round_index:>3}  state {state:>4}  {poly}\n" for (round_index, state), poly in entries]
         return parts
     parts = [json.dumps(report, indent=2)[:-2], ',\n  "record": [']  # the statistics less their closing "\n}"
     for (round_index, state), poly in entries:
-        mass, cells = _row_texts(poly)
+        mass, cells = poly.texts()
         coefficients = ",".join(f'\n        "{exponent}": "{text}"' for exponent, text in cells)
         parts.append(
             f'\n    {{\n      "round": {round_index},\n      "state": {encode_basestring_ascii(state)},'
@@ -208,9 +174,9 @@ def _analysis_report(
 
 def cmd_analyze(config: argparse.Namespace) -> int:
     limit = MAX_RECORD_BITS if config.full_record else inf
-    record, win_capital = _run_exact(_load_document(config), config.rounds, limit)
+    record = _run_exact(_load_document(config), config.rounds, limit)
     with _unlimited_int_text():
-        _emit(_analysis_report(record, win_capital, config), config)
+        _emit(_analysis_report(record, config), config)
     return EXIT_OK
 
 
@@ -303,10 +269,10 @@ def _compare_one(
 
 def cmd_compare(config: argparse.Namespace) -> int:
     spec = _require_game(config)
-    record, win_capital = _run_exact(spec, config.rounds)
+    record = _run_exact(spec, config.rounds)
     if record.epsilon == 1:
         raise UsageError("no mass was absorbed; cannot condition on absorption")
-    stats = summarize(record, win_capital)
+    stats = summarize(record, record.support[1])
     report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
     rows, all_pass = compare_statistics(stats, report)
     with _unlimited_int_text():

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Union
 
-from .chain import Edge, WeightedMarkovChain
+from .chain import Edge, WeightedMarkovChain, is_int
 
 EMPTY = "0"
 TERMINAL = "*"
@@ -96,7 +96,7 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
             elif tag in seen:
                 diagnostics.append(f"animals: duplicate tag {tag!r}")
             seen.add(tag)
-        if not isinstance(self.win_threshold, int):  # the checks below count with it
+        if not is_int(self.win_threshold):  # the checks below count with it
             return diagnostics + [f"win_threshold must be an integer, got {self.win_threshold!r}"]
         if self.win_threshold < 1:
             diagnostics.append(f"win_threshold must be >= 1, got {self.win_threshold}")
@@ -117,10 +117,10 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
                 f"win_threshold {self.win_threshold} needs {self.win_threshold + 1}"
             )
         upper = self.win_threshold + 1
-        for square in sorted(square for square in self.blue if isinstance(square, int)):
+        for square in sorted(square for square in self.blue if is_int(square)):
             if not 2 <= square <= upper:
                 diagnostics.append(f"blue square {square} is outside 2..{upper}")
-        diagnostics += sorted(f"blue square {b!r} is not an integer" for b in self.blue if not isinstance(b, int))
+        diagnostics += sorted(f"blue square {b!r} is not an integer" for b in self.blue if not is_int(b))
         return diagnostics
 
     def chick_gain(self, src: int, dst: int) -> int:
@@ -159,10 +159,7 @@ def parse_game_spec(source: Union[str, Mapping]) -> GameSpec:
         shape.append("board: must be a list of square labels or one comma-separated string")
         board = []
     blue = data.get("blue", [])
-    if (
-        not isinstance(blue, list)
-        or not all(isinstance(b, int) and not isinstance(b, bool) for b in blue)
-    ):
+    if not isinstance(blue, list) or not all(is_int(b) for b in blue):
         shape.append("blue: must be a list of square numbers")
         blue = []
     if shape:
@@ -171,7 +168,7 @@ def parse_game_spec(source: Union[str, Mapping]) -> GameSpec:
     if TERMINAL not in board:
         board = board + [TERMINAL]
     threshold = data.get("win_threshold", len(board) - 1)
-    if isinstance(threshold, bool) or not isinstance(threshold, int):
+    if not is_int(threshold):
         raise GameSpecError(["win_threshold: must be an integer"])
 
     return GameSpec(

@@ -19,7 +19,8 @@ with that mass below 2^(B-1), so sums of shifted multiples of rows never
 carry from cell to cell, and a run of cells sums to its packed int
 modulo 2^B - 1.  Only this module knows the format: `scatter` is the
 engine's round and `CappedPolynomial.stored_cells` the one read of a
-row, which `terms`, `coeffs`, equality, hashing and `repr` go through.
+row, which `terms`, `coeffs`, equality, hashing, `repr` and the row's
+text (`texts`, `str`) go through.
 """
 
 from __future__ import annotations
@@ -240,6 +241,32 @@ class CappedPolynomial:
         """Exact sum of all coefficients, i.e. the value at t = 1."""
         return Fraction(self._mass, self._den)
 
+    def texts(self) -> tuple[str, list[tuple[int, str]]]:
+        """The mass and each nonzero (exponent, coefficient), as `str(Fraction)` prints them.
+
+        The values share a denominator q, so its "/q" text is built once per distinct
+        gcd.  A cell's gcd with q divides the product of the nonzero cells, so it is
+        its gcd with g = gcd(that product mod q, q): one gcd at q's size for the row,
+        and one with the small g per cell.
+        """
+        first, cells, denominator = self.stored_cells()
+        suffixes: dict[int, str] = {}  # gcd with the denominator -> "/q", "" for q = 1
+        product = 1
+        for numerator in cells:
+            if numerator:
+                product = product * numerator % denominator
+        shared = gcd(product, denominator)
+
+        def text(numerator: int, divisor: int) -> str:
+            common = gcd(numerator, divisor)
+            suffix = suffixes.get(common)
+            if suffix is None:
+                reduced = denominator // common
+                suffix = suffixes[common] = f"/{reduced}" if reduced > 1 else ""
+            return f"{numerator // common}{suffix}"
+
+        terms = [(exponent, text(n, shared)) for exponent, n in enumerate(cells, first) if n]
+        return text(self._mass, denominator), terms
+
     def __str__(self) -> str:
-        parts = [f"{coeff}*t^{exponent}" for exponent, coeff in self.terms()]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"{text}*t^{exponent}" for exponent, text in self.texts()[1]) or "0"

@@ -4,7 +4,8 @@ The hypothesis strategies build package objects (they only generate
 inputs); the adapters translate between package objects and the plain
 dicts the independent oracle in _oracle.py speaks; the record helpers
 recompute polynomial sums and marginals from `.coeffs` alone, so tests
-can check the package against them; `fold_single_plays` is the report
+can check the package against them, and `fraction_text` a row's text from
+its `Fraction` terms; `fold_single_plays` is the report
 `simulate` should give, built from `play_once`; the chi-square helpers
 compare a histogram with exact probabilities.
 """
@@ -168,6 +169,11 @@ def oracle_step(chain: WeightedMarkovChain, vector) -> tuple[dict, dict]:
 
 def zero_poly(lo: int, hi: int) -> CappedPolynomial:
     return CappedPolynomial(lo, hi, (0,) * max(hi - lo + 1, 0))
+
+
+def fraction_text(poly: CappedPolynomial) -> str:
+    """`str(poly)` built the plain way, a `Fraction` per nonzero cell: the oracle for the packed text."""
+    return " + ".join(f"{coeff}*t^{exponent}" for exponent, coeff in poly.terms()) or "0"
 
 
 def coefficient(poly: CappedPolynomial, exponent: int) -> Fraction:

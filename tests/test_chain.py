@@ -145,13 +145,13 @@ def test_keyword_construction_and_replace_still_validate():
         two_state_chain()._replace(support=(2, 1))
 
 
-@pytest.mark.parametrize("support", [(0.5, 3), (0, "4"), (Fraction(0), 4)])
+@pytest.mark.parametrize("support", [(0.5, 3), (0, "4"), (Fraction(0), 4), (False, 4), (0, True)])
 def test_a_non_integer_support_bound_is_a_violation(support):
     with pytest.raises(InvalidChainError, match="must be two integers"):
         two_state_chain(support=support)
 
 
-@pytest.mark.parametrize("weight", [1.5, "2", 2.0])
+@pytest.mark.parametrize("weight", [1.5, "2", 2.0, True, False])
 def test_a_non_integer_edge_weight_is_a_violation(weight):
     with pytest.raises(InvalidChainError, match=r"edge\[0\] 't0'->'a0': weight .* is not an integer"):
         two_state_chain(weight=weight)

@@ -34,7 +34,7 @@ from capchain.cli import (
     main,
 )
 
-from _testlib import COPRIME_CHAIN, small_chains
+from _testlib import COPRIME_CHAIN, fraction_text, small_chains
 
 CHAIN_DOC = {
     "transient": ["a", "b"],
@@ -124,12 +124,15 @@ def test_analyze_full_record_text(capsys):
 
 
 def fraction_built_report(record, win_capital, fmt):
-    """The full-record report built the plain way: a Fraction per cell, `json.dumps` over the record."""
+    """The full-record report built the plain way: a Fraction per cell, `json.dumps` over the record.
+
+    Rows are written with `fraction_text`, never `str(poly)`, which is the code under test.
+    """
     stats = summarize(record, win_capital)
     entries = sorted(record.conditional().absorbed.items())
     if fmt == "text":
         return render_stats(stats, 13) + "\nabsorbed polynomials (conditional on absorption):\n" + "".join(
-            f"round {round_index:>3}  state {state:>4}  {poly}\n" for (round_index, state), poly in entries
+            f"round {round_index:>3}  state {state:>4}  {fraction_text(poly)}\n" for (round_index, state), poly in entries
         )
     report = stats_json_dict(stats, 13)
     report["record"] = [
@@ -161,7 +164,7 @@ def test_full_record_matches_the_fraction_built_report(chain, rounds, fmt):
     assume(record.epsilon != 1)
     config = argparse.Namespace(format=fmt, full_record=True, digits=13)
     expected = fraction_built_report(record, chain.support[1], fmt)
-    assert "".join(cli._analysis_report(record, chain.support[1], config)) == expected
+    assert "".join(cli._analysis_report(record, config)) == expected
 
 
 def test_analyze_degenerate_horizon(capsys):

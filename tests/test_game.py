@@ -131,7 +131,7 @@ def test_a_game_spec_is_immutable_and_validated_however_it_is_built(simplified_g
         simplified_game._replace(blue=[99])
 
 
-@pytest.mark.parametrize("threshold", [8.9, "8", 8.0])
+@pytest.mark.parametrize("threshold", [8.9, "8", 8.0, True, False])
 def test_a_non_integer_win_threshold_is_a_diagnostic(simplified_game, threshold):
     with pytest.raises(GameSpecError, match="win_threshold must be an integer, got"):
         simplified_game._replace(win_threshold=threshold)
@@ -141,6 +141,10 @@ def test_a_non_integer_blue_square_is_a_diagnostic(simplified_game):
     with pytest.raises(GameSpecError) as excinfo:
         simplified_game._replace(blue=[3, 3.7, "6"])
     assert excinfo.value.diagnostics == ["blue square '6' is not an integer", "blue square 3.7 is not an integer"]
+    for flag in (True, False):  # bool is an int subclass, and still not a square number
+        with pytest.raises(GameSpecError) as excinfo:
+            simplified_game._replace(blue=[3, flag])
+        assert excinfo.value.diagnostics == [f"blue square {flag!r} is not an integer"]
 
 
 def test_unknown_builtin_is_an_error():

@@ -5,11 +5,20 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from capchain import CappedPolynomial
+from capchain import CappedPolynomial, run_absorption
 
-from _testlib import add_polys, capped_polynomials, clamped_shift, coefficient, unit_fractions, zero_poly
+from _testlib import (
+    COPRIME_CHAIN,
+    add_polys,
+    capped_polynomials,
+    clamped_shift,
+    coefficient,
+    fraction_text,
+    unit_fractions,
+    zero_poly,
+)
 
 
 def mono(exponent, coeff):
@@ -199,6 +208,30 @@ def test_str_renders_exact_fractions():
     poly = CappedPolynomial.monomial(3, Fraction(1, 3), 0, 8)
     assert str(poly) == "1/3*t^3"
     assert str(zero_poly(0, 2)) == "0"
+
+
+# The conditioned rows of COPRIME_CHAIN, whose cells reduce to up to four different denominators.
+COPRIME_ROWS = list(run_absorption(COPRIME_CHAIN, "t0", 8).conditional().absorbed.values())
+
+
+def test_a_coprime_row_reduces_to_four_denominators():
+    assert max(len({coeff.denominator for _, coeff in row.terms()}) for row in COPRIME_ROWS) == 4
+
+
+def with_coprime_rows(test):
+    for row in COPRIME_ROWS:
+        test = example(poly=row)(test)
+    return test
+
+
+@with_coprime_rows
+@example(poly=zero_poly(-1, 2))
+@given(poly=capped_polynomials())
+def test_the_packed_text_is_the_fraction_built_text(poly):
+    mass, terms = poly.texts()
+    assert str(poly) == fraction_text(poly)
+    assert terms == [(exponent, str(coeff)) for exponent, coeff in poly.terms()]
+    assert mass == str(poly.mass())
 
 
 @given(capped_polynomials(), st.integers(0, 3), st.integers(-3, 0))

@@ -2,8 +2,10 @@
 
 import json
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,3 +287,11 @@ def test_json_report_null_statistics_for_point_mass():
     assert document["chicks"]["skewness"] is None
     assert document["correlation"] is None
     assert document["epsilon"]["decimal"] == "0"
+
+
+def test_the_readme_quick_start_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(code, {})
+    printed = capsys.readouterr().out
+    assert printed.startswith("0.6410373996231")

@@ -10,85 +10,48 @@ and every probability and moment comes out as an exact fraction.
 Shipped on top of the engine: a chick-counting race game that compiles
 to such a chain, a statistics extractor, a seeded Monte Carlo oracle,
 and the `capchain` command-line tool.
+
+Each exported name loads its module the first time it is read, so
+`import capchain` loads no submodule and a caller pays only for the
+layers it uses: `capchain.builtin_game` loads the game module alone,
+`capchain.run_absorption` the engine.
 """
 
-from .chain import (
-    AbsorptionRecord,
-    ChainFormatError,
-    Edge,
-    InvalidChainError,
-    RecordTooLargeError,
-    StateVector,
-    WeightedMarkovChain,
-    chain_from_json_dict,
-    chain_to_json_dict,
-    dumps_chain,
-    loads_chain,
-    run_absorption,
-    umbra_step,
-)
-from .game import (
-    EMPTY,
-    FULL_GAME_JSON,
-    SIMPLIFIED_GAME_JSON,
-    TERMINAL,
-    GameSpec,
-    GameSpecError,
-    builtin_game,
-    compile_game,
-    parse_game_spec,
-)
-from .poly import CappedPolynomial
-from .simulator import SimulationReport, SplitMix64, mix64, play_once, simulate
-from .stats import (
-    SummaryStats,
-    central_moments,
-    distribution_moments,
-    format_fraction,
-    format_fraction_scientific,
-    render_stats,
-    stats_json_dict,
-    summarize,
-)
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbsorptionRecord",
-    "CappedPolynomial",
-    "ChainFormatError",
-    "EMPTY",
-    "Edge",
-    "FULL_GAME_JSON",
-    "GameSpec",
-    "GameSpecError",
-    "InvalidChainError",
-    "RecordTooLargeError",
-    "SIMPLIFIED_GAME_JSON",
-    "SimulationReport",
-    "SplitMix64",
-    "StateVector",
-    "SummaryStats",
-    "TERMINAL",
-    "WeightedMarkovChain",
-    "builtin_game",
-    "central_moments",
-    "chain_from_json_dict",
-    "chain_to_json_dict",
-    "compile_game",
-    "distribution_moments",
-    "dumps_chain",
-    "format_fraction",
-    "format_fraction_scientific",
-    "loads_chain",
-    "mix64",
-    "parse_game_spec",
-    "play_once",
-    "render_stats",
-    "run_absorption",
-    "simulate",
-    "stats_json_dict",
-    "summarize",
-    "umbra_step",
-    "__version__",
-]
+# Where each exported name lives; `__getattr__` imports its module on first use.
+_HOMES = {
+    "chain": (
+        "AbsorptionRecord ChainFormatError Edge InvalidChainError RecordTooLargeError StateVector "
+        "WeightedMarkovChain chain_from_json_dict chain_to_json_dict dumps_chain loads_chain "
+        "run_absorption umbra_step"
+    ),
+    "game": (
+        "EMPTY FULL_GAME_JSON SIMPLIFIED_GAME_JSON TERMINAL GameSpec GameSpecError builtin_game "
+        "compile_game parse_game_spec"
+    ),
+    "poly": "CappedPolynomial",
+    "simulator": "SimulationReport SplitMix64 mix64 play_once simulate",
+    "stats": (
+        "SummaryStats central_moments distribution_moments format_fraction format_fraction_scientific "
+        "render_stats stats_json_dict summarize"
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = f"{__name__}.{_HOME[name]}"
+    __import__(home)  # not importlib.import_module: `-X importtime` lists only this way
+    value = globals()[name] = getattr(sys.modules[home], name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -23,50 +23,23 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from typing import Dict, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple
 
-from .poly import CappedPolynomial, scatter
+from .base import (  # re-exported: these have always been importable from here
+    MAX_DENOMINATOR_BITS,
+    MAX_RECORD_BITS,
+    MAX_ROUNDS,
+    MAX_WINDOW,
+    ChainFormatError,
+    InvalidChainError,
+    RecordTooLargeError,
+    is_int,
+)
 
-StateVector = Dict[str, CappedPolynomial]
+if TYPE_CHECKING:  # only a run loads `capchain.poly`: see `umbra_step` and `run_absorption`
+    from .poly import CappedPolynomial
 
-# Input limits, checked before any row is allocated.  A round makes a few
-# big-int operations per live state and out-edge, on packed rows of up to a
-# window of cells whose numerators grow up to log2(D) bits a round, D being
-# the lcm of the edge probability denominators; the record keeps a row per
-# (round, absorbing state).  At M = 1000 on a 2-core machine `analyze` stays
-# within 1 s and 17 MB for the full game, 5 s and 354 MB for a random walk
-# on a 10000-cell window, and 3 s and 30 MB for a 41-cell chain with
-# D = 2^64 - 59 (CHANGES.md has the cases).
-MAX_WINDOW = 10_000
-MAX_ROUNDS = 1_000
-MAX_DENOMINATOR_BITS = 64
-# A full record prints a numerator and a denominator per stored cell: at most about a byte
-# per bit of its sum over rows of cells x denominator bits.  Twice the full game's at M = 1000
-# (5.2e7: 48 MB of JSON, 2 s, 72 MB); at the limit a D = 3 walk on 10000 cells prints 38 MB
-# in 1.5 s at 112 MB.  The sum only grows with the rounds, so `run_absorption` stops a run as
-# soon as it passes the limit.
-MAX_RECORD_BITS = 100_000_000
-
-
-class RecordTooLargeError(ValueError):
-    """Raised when a run's record passes the size a caller allows it; an input problem, not a bug."""
-
-
-class ChainFormatError(ValueError):
-    """Raised when a chain document cannot be decoded at all."""
-
-
-class InvalidChainError(ValueError):
-    """Raised when a chain is constructed that breaks an invariant; carries every one."""
-
-    def __init__(self, violations: Iterable[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
-
-
-def is_int(value: object) -> bool:
-    """An `int` and not a `bool`: what every integer field of a chain or a game must be."""
-    return isinstance(value, int) and not isinstance(value, bool)
+StateVector = Dict[str, "CappedPolynomial"]
 
 
 class Edge(NamedTuple):
@@ -196,6 +169,8 @@ def umbra_step(
     as integers over their lcm; this function checks the input and
     splits the landed rows into the two sides.
     """
+    from .poly import scatter
+
     lo, hi = chain.support
     for src, poly in state_vector.items():
         if src not in chain.transient_set:
@@ -258,6 +233,8 @@ def run_absorption(
         raise ValueError(f"horizon must be between 1 and {MAX_ROUNDS}, got {rounds}")
     if start not in chain.transient_set:
         raise ValueError(f"start state {start!r} is not a transient state")
+    from .poly import CappedPolynomial
+
     lo, hi = chain.support
     vector: StateVector = {start: CappedPolynomial.monomial(min(max(0, lo), hi), 1, lo, hi)}
     absorbed: dict[tuple[int, str], CappedPolynomial] = {}

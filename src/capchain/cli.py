@@ -12,6 +12,10 @@ with the full record: `_analysis_report` writes it out itself as a list of
 text parts, which `_emit` writes one by one.  A record row prints itself
 (`str(poly)`, `poly.texts()`): this module keeps only the report layout.
 
+A command loads only the layers it calls, on first use (`_load`):
+`simulate` loads the game and the simulator, never the exact engine, the
+statistics, `fractions` or `decimal`; `analyze` never loads the simulator.
+
 Exit codes: 0 success, 1 runtime failure (including a failed
 comparison), 2 input or validation error.
 """
@@ -22,34 +26,56 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import inf, sqrt
-from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from .chain import (
+from .base import (
+    MAX_DIGITS,
     MAX_RECORD_BITS,
     MAX_ROUNDS,
-    AbsorptionRecord,
     ChainFormatError,
+    GameSpecError,
     InvalidChainError,
     RecordTooLargeError,
-    chain_from_json_dict,
-    dumps_chain,
-    run_absorption,
-)
-from .game import GameSpec, GameSpecError, builtin_game, compile_game, parse_game_spec
-from .simulator import SimulationReport, simulate
-from .stats import (
-    MAX_DIGITS,
-    SummaryStats,
-    epsilon_pair,
     format_rows,
-    render_stats,
-    stats_json_dict,
-    summarize,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .chain import AbsorptionRecord
+    from .game import GameSpec
+    from .simulator import SimulationReport
+    from .stats import SummaryStats
+
+# The layer functions this module calls, by module.  A command binds the
+# layers it uses into this module with `_load` on first use; until then
+# `__getattr__` resolves them, so `cli.summarize` works before any command.
+_LAYERS = {
+    "game": ("GameSpec", "builtin_game", "compile_game", "parse_game_spec"),
+    "chain": ("chain_from_json_dict", "dumps_chain", "run_absorption"),
+    "stats": ("epsilon_pair", "render_stats", "stats_json_dict", "summarize"),
+    "simulator": ("simulate",),
+}
+
+
+def _load(*layers: str) -> None:
+    """Bind the layers' functions here; a binding already in place (a wrapper, a patch) wins."""
+    for layer in layers:
+        module = f"{__package__}.{layer}"
+        __import__(module)  # not importlib.import_module: `-X importtime` lists only this way
+        for name in _LAYERS[layer]:
+            globals().setdefault(name, getattr(sys.modules[module], name))
+
+
+def __getattr__(name: str) -> object:
+    for layer, names in _LAYERS.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -67,7 +93,8 @@ def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
     if config.builtin is not None:
         return builtin_game(config.builtin)
     try:
-        text = Path(config.input_path).read_text()
+        with open(config.input_path) as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {config.input_path}: {exc}") from None
     try:
@@ -141,7 +168,9 @@ def _analysis_report(record: AbsorptionRecord, config: argparse.Namespace) -> Un
     The record's JSON is written here as `json.dumps(report, indent=2)` would write
     it, an array after the statistics (absorbed rows are never zero), because with
     an indent `json.dumps` runs its pure-Python encoder over every cell.
+    It loads the statistics itself, so it runs on any record.
     """
+    _load("stats")
     as_json = config.format == "json"
     if record.epsilon == 1:
         if not as_json:
@@ -173,6 +202,7 @@ def _analysis_report(record: AbsorptionRecord, config: argparse.Namespace) -> Un
 
 
 def cmd_analyze(config: argparse.Namespace) -> int:
+    _load("game", "chain")  # and `_analysis_report` the statistics
     limit = MAX_RECORD_BITS if config.full_record else inf
     record = _run_exact(_load_document(config), config.rounds, limit)
     with _unlimited_int_text():
@@ -181,6 +211,7 @@ def cmd_analyze(config: argparse.Namespace) -> int:
 
 
 def cmd_simulate(config: argparse.Namespace) -> int:
+    _load("game", "simulator")
     spec = _require_game(config)
     report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
     fields = report.to_json_dict()
@@ -240,7 +271,7 @@ def compare_statistics(
                 "correlation",
                 rho,
                 report.correlation,
-                Fraction((1 - rho * rho) ** 2),
+                (1 - rho * rho) ** 2,
                 n,
             )
         )
@@ -251,7 +282,7 @@ def _compare_one(
     name: str,
     exact: float,
     empirical: Optional[float],
-    sampling_variance: Fraction,
+    sampling_variance: Union[Fraction, float],
     n: int,
 ) -> ComparisonRow:
     if empirical is None or n == 0:
@@ -268,6 +299,7 @@ def _compare_one(
 
 
 def cmd_compare(config: argparse.Namespace) -> int:
+    _load("game", "chain", "stats", "simulator")
     spec = _require_game(config)
     record = _run_exact(spec, config.rounds)
     if record.epsilon == 1:
@@ -319,6 +351,7 @@ def cmd_compare(config: argparse.Namespace) -> int:
 
 
 def cmd_dump_chain(config: argparse.Namespace) -> int:
+    _load("game", "chain")
     spec = _require_game(config)
     _emit(dumps_chain(compile_game(spec)), config)
     return EXIT_OK

@@ -20,24 +20,18 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .chain import Edge, WeightedMarkovChain, is_int
+from .base import GameSpecError, is_int
+
+if TYPE_CHECKING:  # only `compile_game` loads the engine
+    from .chain import WeightedMarkovChain
 
 EMPTY = "0"
 TERMINAL = "*"
 
 _RESERVED_TAGS = {EMPTY, TERMINAL}
-
-
-class GameSpecError(ValueError):
-    """A game document failed to parse or validate; carries all diagnostics."""
-
-    def __init__(self, diagnostics: Iterable[str]):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(self.diagnostics))
 
 
 class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
@@ -226,6 +220,10 @@ def compile_game(spec: GameSpec) -> WeightedMarkovChain:
     The capital window is [0, N], so the upper clamp realises the "at
     least N chicks" win cap.
     """
+    from fractions import Fraction
+
+    from .chain import Edge, WeightedMarkovChain
+
     prob = Fraction(1, len(spec.animals) + 1)
     edges: list[Edge] = []
     for square, moves in spec.moves.items():

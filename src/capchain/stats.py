@@ -14,16 +14,16 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .chain import AbsorptionRecord
+from .base import MAX_DIGITS, format_rows
 
-# Working precision for the two irrational statistics; far beyond the
-# 13-ish digits usually rendered, so display values are correctly rounded.
-DECIMAL_PRECISION = 50
-# Most decimal places a report may ask for: a 10-digit guard below the
-# precision the roots carry.
-MAX_DIGITS = DECIMAL_PRECISION - 10
+if TYPE_CHECKING:
+    from .chain import AbsorptionRecord
+
+# Working precision for the two irrational statistics: a 10-digit guard beyond
+# the most places a report may ask for, so display values are correctly rounded.
+DECIMAL_PRECISION = MAX_DIGITS + 10
 
 
 class SummaryStats(NamedTuple):
@@ -211,15 +211,6 @@ def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
         "epsilon": epsilon_pair(stats.epsilon, digits),
         "M": stats.rounds_run,
     }
-
-
-def format_rows(rows: Sequence[tuple[str, object]]) -> str:
-    """Aligned `label  value` lines; floats print as repr, everything else as str."""
-    width = max(len(label) for label, _ in rows)
-    return "".join(
-        f"{label.ljust(width)}  {repr(value) if isinstance(value, float) else value}\n"
-        for label, value in rows
-    )
 
 
 def render_stats(stats: SummaryStats, digits: int = 13) -> str:

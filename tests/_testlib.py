@@ -7,16 +7,22 @@ recompute polynomial sums and marginals from `.coeffs` alone, so tests
 can check the package against them, and `fraction_text` a row's text from
 its `Fraction` terms; `fold_single_plays` is the report
 `simulate` should give, built from `play_once`; the chi-square helpers
-compare a histogram with exact probabilities.
+compare a histogram with exact probabilities; `run_python` runs a probe
+in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import capchain
 from capchain import (
     CappedPolynomial,
     Edge,
@@ -311,3 +317,11 @@ def chi_square_upper_tail(statistic: float, dof: int) -> float:
         if abs(c * d - 1) < 1e-15:
             break
     return front * fraction
+
+
+def run_python(code: str, *args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(capchain.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=timeout, env=env
+    )

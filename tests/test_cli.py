@@ -2,12 +2,9 @@
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -34,7 +31,7 @@ from capchain.cli import (
     main,
 )
 
-from _testlib import COPRIME_CHAIN, fraction_text, small_chains
+from _testlib import COPRIME_CHAIN, fraction_text, run_python, small_chains
 
 CHAIN_DOC = {
     "transient": ["a", "b"],
@@ -384,13 +381,7 @@ def test_full_record_over_the_limit_is_a_usage_error(tmp_path):
         "from capchain.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", limited, "analyze", str(path), "-M", "1000", "--format", "json", "--full-record"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
-    )
+    proc = run_python(limited, "analyze", str(path), "-M", "1000", "--format", "json", "--full-record", timeout=120)
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr.startswith("error: the full record holds ")
     assert proc.stderr.endswith(f" cells x denominator bits, over the {MAX_RECORD_BITS} limit\n")
@@ -741,6 +732,9 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "summarize", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["analyze", "--builtin", "simplified"])
+    monkeypatch.setattr(cli, "simulate", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["simulate", "--builtin", "simplified", "--trials", "1"])
 
 
 def test_unknown_subcommand_exits_with_usage(capsys):
@@ -751,9 +745,46 @@ def test_no_subcommand_exits_with_usage(capsys):
     assert run_cli(capsys)[0] == EXIT_USAGE
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # A fresh interpreter, because pytest itself imports both.
-    probe = "import sys\nimport capchain.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+# The names perfbench's tracer wraps in this module, and the layer each lives in.
+TRACED = {
+    "parse_game_spec": "game",
+    "compile_game": "game",
+    "chain_from_json_dict": "chain",
+    "run_absorption": "chain",
+    "summarize": "stats",
+    "render_stats": "stats",
+    "stats_json_dict": "stats",
+    "simulate": "simulator",
+}
+
+
+def test_layer_functions_resolve_before_any_command_and_a_wrapper_wins():
+    # A fresh interpreter, so no command has bound anything yet.
+    probe = (
+        "import sys\nfrom capchain import cli\n"
+        f"for name, layer in {TRACED!r}.items():\n"
+        "    assert getattr(cli, name) is getattr(sys.modules['capchain.' + layer], name), name\n"
+        "def wrapper(*args, **kwargs):\n    raise ValueError('wrapped')\n"
+        "cli.simulate = wrapper\n"
+        "try:\n    cli.main(['simulate', '--builtin', 'simplified', '--trials', '1'])\n"
+        "except ValueError as exc:\n    print(exc)\n"
+    )
+    proc = run_python(probe)
+    assert (proc.returncode, proc.stdout) == (0, "wrapped\n"), proc.stderr
+    with pytest.raises(AttributeError, match=r"^module 'capchain\.cli' has no attribute 'nope'$"):
+        cli.nope
+
+
+def test_simulate_refuses_an_unsound_game_without_loading_the_engine(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"animals": ["C"], "board": ["0", "X", "*"], "blue": [1]}))
+    probe = (
+        "import sys\nfrom capchain.cli import main\n"
+        "code = main(['simulate', sys.argv[1], '--trials', '1'])\n"
+        "print(code, 'capchain.chain' in sys.modules)\n"
+    )
+    proc = run_python(probe, str(path))
+    assert (proc.stdout, proc.stderr) == (
+        f"{EXIT_USAGE} False\n",
+        "error: square 2: unknown animal tag 'X'\nerror: blue square 1 is outside 2..3\n",
+    )

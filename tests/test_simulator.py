@@ -1,11 +1,7 @@
 """Monte Carlo oracle: PRNG reference vectors, game play, batch reports."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +17,6 @@ from capchain import (
     simulate,
     summarize,
 )
-import capchain
 from capchain.simulator import LANES
 
 from _oracle import longest_animal_only_path, next_location
@@ -31,6 +26,7 @@ from _testlib import (
     marginal_capital,
     marginal_rounds,
     pooled_cells,
+    run_python,
 )
 
 
@@ -259,8 +255,7 @@ def test_lane_constants_are_built_on_first_use_once_per_width():
         "assert info.misses == info.currsize <= LANES.bit_length(), info\n"
         "assert info.hits > info.misses, info\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(capchain.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    proc = run_python(probe)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -35,8 +35,8 @@ _HOMES = {
     "poly": "CappedPolynomial",
     "simulator": "SimulationReport SplitMix64 mix64 play_once simulate",
     "stats": (
-        "SummaryStats central_moments distribution_moments format_fraction format_fraction_scientific "
-        "render_stats stats_json_dict summarize"
+        "SummaryStats central_moments distribution_moments epsilon_pair format_fraction "
+        "format_fraction_scientific render_stats stats_json_dict summarize"
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -12,9 +12,12 @@ with the full record: `_analysis_report` writes it out itself as a list of
 text parts, which `_emit` writes one by one.  A record row prints itself
 (`str(poly)`, `poly.texts()`): this module keeps only the report layout.
 
-A command loads only the layers it calls, on first use (`_load`):
-`simulate` loads the game and the simulator, never the exact engine, the
-statistics, `fractions` or `decimal`; `analyze` never loads the simulator.
+A command reads each layer function as an attribute of this module
+(`_cli.simulate`), which the package's table of homes resolves on first
+read, so a command loads exactly the layers it calls: `simulate` loads
+the game and the simulator, never the exact engine, the statistics,
+`fractions` or `decimal`; `analyze` never loads the simulator, and loads
+the game only for a game input.
 
 Exit codes: 0 success, 1 runtime failure (including a failed
 comparison), 2 input or validation error.
@@ -49,32 +52,20 @@ if TYPE_CHECKING:
     from .simulator import SimulationReport
     from .stats import SummaryStats
 
-# The layer functions this module calls, by module.  A command binds the
-# layers it uses into this module with `_load` on first use; until then
-# `__getattr__` resolves them, so `cli.summarize` works before any command.
-_LAYERS = {
-    "game": ("GameSpec", "builtin_game", "compile_game", "parse_game_spec"),
-    "chain": ("chain_from_json_dict", "dumps_chain", "run_absorption"),
-    "stats": ("epsilon_pair", "render_stats", "stats_json_dict", "summarize"),
-    "simulator": ("simulate",),
-}
-
-
-def _load(*layers: str) -> None:
-    """Bind the layers' functions here; a binding already in place (a wrapper, a patch) wins."""
-    for layer in layers:
-        module = f"{__package__}.{layer}"
-        __import__(module)  # not importlib.import_module: `-X importtime` lists only this way
-        for name in _LAYERS[layer]:
-            globals().setdefault(name, getattr(sys.modules[module], name))
+# Commands call each layer function as an attribute of this module
+# (`_cli.summarize`), so a wrapper or a patch set on the module wins.  The
+# handle is the running module even under `python -m capchain.cli`, where
+# importing `capchain.cli` would make a second one.  `__getattr__` binds a
+# name here on first read, through the package's table of homes.
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str) -> object:
-    for layer, names in _LAYERS.items():
-        if name in names:
-            _load(layer)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    package = sys.modules[__package__]
+    if name not in package._HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 EXIT_OK = 0
@@ -91,7 +82,7 @@ def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
     if (config.builtin is None) == (config.input_path is None):
         raise UsageError("provide exactly one input: a file path or --builtin")
     if config.builtin is not None:
-        return builtin_game(config.builtin)
+        return _cli.builtin_game(config.builtin)
     try:
         with open(config.input_path) as handle:
             text = handle.read()
@@ -102,7 +93,7 @@ def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
     except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
         raise UsageError(f"{config.input_path}: invalid JSON: {exc}") from None
     if isinstance(data, dict) and "board" in data:
-        return parse_game_spec(data)
+        return _cli.parse_game_spec(data)
     if isinstance(data, dict) and "edges" in data:
         return data
     raise UsageError(
@@ -119,19 +110,19 @@ def _run_exact(document: Union[GameSpec, dict], rounds: int, max_record_bits: fl
     game's window is 0..win_threshold.  A record past `max_record_bits` raises
     RecordTooLargeError during the run.
     """
-    if isinstance(document, GameSpec):
-        chain, start = compile_game(document), "1"
-    else:
-        chain = chain_from_json_dict(document)
+    if isinstance(document, dict):
+        chain = _cli.chain_from_json_dict(document)
         start = document.get("start", chain.transient[0])
         if not isinstance(start, str) or start not in chain.transient_set:
             raise UsageError(f"start state {start!r} is not a transient state of the chain")
-    return run_absorption(chain, start, rounds, max_record_bits)
+    else:
+        chain, start = _cli.compile_game(document), "1"
+    return _cli.run_absorption(chain, start, rounds, max_record_bits)
 
 
 def _require_game(config: argparse.Namespace) -> GameSpec:
     document = _load_document(config)
-    if not isinstance(document, GameSpec):
+    if isinstance(document, dict):
         raise UsageError(f"{config.command} needs a game spec, not a chain document")
     return document
 
@@ -168,19 +159,17 @@ def _analysis_report(record: AbsorptionRecord, config: argparse.Namespace) -> Un
     The record's JSON is written here as `json.dumps(report, indent=2)` would write
     it, an array after the statistics (absorbed rows are never zero), because with
     an indent `json.dumps` runs its pure-Python encoder over every cell.
-    It loads the statistics itself, so it runs on any record.
     """
-    _load("stats")
     as_json = config.format == "json"
     if record.epsilon == 1:
         if not as_json:
             note = "no mass absorbed within the horizon; statistics undefined\n"
             return format_rows([("horizon M", record.rounds_run), ("epsilon", 1)]) + note
-        epsilon = epsilon_pair(record.epsilon, config.digits)
+        epsilon = _cli.epsilon_pair(record.epsilon, config.digits)
         empty = {"record": []} if config.full_record else {}
         return {"M": record.rounds_run, "epsilon": epsilon, "statistics": None, **empty}
-    stats = summarize(record, record.support[1])
-    report = (stats_json_dict if as_json else render_stats)(stats, config.digits)
+    stats = _cli.summarize(record, record.support[1])
+    report = (_cli.stats_json_dict if as_json else _cli.render_stats)(stats, config.digits)
     if not config.full_record:
         return report
     entries = sorted(record.conditional().absorbed.items())
@@ -202,7 +191,6 @@ def _analysis_report(record: AbsorptionRecord, config: argparse.Namespace) -> Un
 
 
 def cmd_analyze(config: argparse.Namespace) -> int:
-    _load("game", "chain")  # and `_analysis_report` the statistics
     limit = MAX_RECORD_BITS if config.full_record else inf
     record = _run_exact(_load_document(config), config.rounds, limit)
     with _unlimited_int_text():
@@ -211,9 +199,8 @@ def cmd_analyze(config: argparse.Namespace) -> int:
 
 
 def cmd_simulate(config: argparse.Namespace) -> int:
-    _load("game", "simulator")
     spec = _require_game(config)
-    report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
+    report = _cli.simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
     fields = report.to_json_dict()
     if config.format == "json":
         _emit(fields, config)
@@ -248,33 +235,18 @@ def compare_statistics(
     """
     n = report.completed
     p, m2_c, m2_r = stats.win_probability, stats.chick_variance, stats.rounds_variance
-    targets: list[tuple[str, Fraction, Optional[float], Fraction]] = [
-        (
-            "win rate",
-            p,
-            report.wins / n if n else None,
-            p * (1 - p),
-        ),
+    targets: list[tuple[str, Union[Fraction, float], Optional[float], Union[Fraction, float]]] = [
+        ("win rate", p, report.wins / n if n else None, p * (1 - p)),
         ("chick mean", stats.chick_mean, report.chick_mean, m2_c),
         ("chick variance", m2_c, report.chick_variance, stats.chick_m4 - m2_c**2),
         ("rounds mean", stats.rounds_mean, report.rounds_mean, m2_r),
         ("rounds variance", m2_r, report.rounds_variance, stats.rounds_m4 - m2_r**2),
     ]
-    rows: list[ComparisonRow] = []
-    for name, exact, empirical, sampling_variance in targets:
-        rows.append(_compare_one(name, float(exact), empirical, sampling_variance, n))
     if stats.correlation is not None:
         rho = float(stats.correlation)
         # Delta-method spread of a sample correlation around rho.
-        rows.append(
-            _compare_one(
-                "correlation",
-                rho,
-                report.correlation,
-                (1 - rho * rho) ** 2,
-                n,
-            )
-        )
+        targets.append(("correlation", rho, report.correlation, (1 - rho * rho) ** 2))
+    rows = [_compare_one(name, float(exact), empirical, variance, n) for name, exact, empirical, variance in targets]
     return rows, all(row.passed for row in rows)
 
 
@@ -299,16 +271,15 @@ def _compare_one(
 
 
 def cmd_compare(config: argparse.Namespace) -> int:
-    _load("game", "chain", "stats", "simulator")
     spec = _require_game(config)
     record = _run_exact(spec, config.rounds)
     if record.epsilon == 1:
         raise UsageError("no mass was absorbed; cannot condition on absorption")
-    stats = summarize(record, record.support[1])
-    report = simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
+    stats = _cli.summarize(record, record.support[1])
+    report = _cli.simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
     rows, all_pass = compare_statistics(stats, report)
     with _unlimited_int_text():
-        epsilon = epsilon_pair(stats.epsilon, config.digits)
+        epsilon = _cli.epsilon_pair(stats.epsilon, config.digits)
     if config.format == "json":
         payload = {
             "trials": report.trials,
@@ -351,9 +322,8 @@ def cmd_compare(config: argparse.Namespace) -> int:
 
 
 def cmd_dump_chain(config: argparse.Namespace) -> int:
-    _load("game", "chain")
     spec = _require_game(config)
-    _emit(dumps_chain(compile_game(spec)), config)
+    _emit(_cli.dumps_chain(_cli.compile_game(spec)), config)
     return EXIT_OK
 
 

@@ -325,3 +325,15 @@ def run_python(code: str, *args: str, timeout: float = 60) -> subprocess.Complet
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=timeout, env=env
     )
+
+
+def analyze_refusal(tmp_path: Path, capsys, text: str) -> str:
+    """Run `capchain analyze` in process on a document it must refuse; return its stderr."""
+    from capchain.cli import EXIT_USAGE, main
+
+    path = tmp_path / "document.json"
+    path.write_text(text)
+    code = main(["analyze", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, ""), err
+    return err

@@ -1,5 +1,6 @@
 """Chain model, umbral evolution, absorption records, JSON round-trips."""
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -14,6 +15,7 @@ from capchain import (
     InvalidChainError,
     RecordTooLargeError,
     WeightedMarkovChain,
+    chain_from_json_dict,
     chain_to_json_dict,
     dumps_chain,
     loads_chain,
@@ -25,6 +27,7 @@ from capchain.chain import MAX_ROUNDS, MAX_WINDOW
 from _oracle import brute_force_record
 from _testlib import (
     COPRIME_CHAIN,
+    analyze_refusal,
     chain_and_vector,
     marginal_capital,
     marginal_rounds,
@@ -34,6 +37,15 @@ from _testlib import (
     small_chains,
     total_absorbed_mass,
 )
+
+
+# A sound one-edge chain document; each refusal test below breaks one field of it.
+CHAIN_DOCUMENT = {
+    "transient": ["a"],
+    "absorbing": ["z"],
+    "support": {"min": 0, "max": 1},
+    "edges": [{"src": "a", "dst": "z", "prob": "1", "weight": 1}],
+}
 
 
 def mono(exponent, coeff, lo=0, hi=8):
@@ -379,7 +391,7 @@ def test_float_probabilities_are_refused():
     data = chain_to_json_dict(two_state_chain())
     data["edges"][0]["prob"] = 0.5
     with pytest.raises(ChainFormatError, match="exact"):
-        loads_chain(__import__("json").dumps(data))
+        loads_chain(json.dumps(data))
 
 
 @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" * 5000], ids=["deep", "long-int"])
@@ -388,15 +400,59 @@ def test_json_past_the_parser_limits_is_refused(text):
         loads_chain(text)
 
 
-def test_missing_fields_are_refused():
+def test_missing_fields_are_refused(tmp_path, capsys):
     with pytest.raises(ChainFormatError, match="missing"):
         loads_chain('{"transient": [], "absorbing": [], "edges": []}')
+    text = json.dumps({**CHAIN_DOCUMENT, "edges": [{"src": "a", "dst": "z", "prob": "1"}]})
+    with pytest.raises(ChainFormatError, match=r"^edges\[0\]: missing 'weight'$"):
+        loads_chain(text)
+    assert analyze_refusal(tmp_path, capsys, text) == "error: edges[0]: missing 'weight'\n"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"transient": "a"}, "'transient' must be a list of state ids"),
+        ({"absorbing": ["z", 2]}, "'absorbing' must be a list of state ids"),
+        ({"support": [0, 1]}, "'support' must be an object with integer 'min' and 'max'"),
+        ({"edges": {}}, "'edges' must be a list"),
+        ({"edges": ["a"]}, "edges[0]: must be an object"),
+        ({"src": 1}, "edges[0]: 'src' and 'dst' must be state ids"),
+        ({"weight": "1"}, "edges[0]: 'weight' must be an integer"),
+        ({"prob": "1/0"}, "edges[0].prob: Fraction(1, 0)"),
+        ({"prob": [1]}, "edges[0].prob: probability has unsupported type list"),
+    ],
+    ids=["transient", "absorbing", "support", "edges", "edge", "src", "weight", "prob-text", "prob-type"],
+)
+def test_misshapen_chain_documents_are_refused(tmp_path, capsys, change, message):
+    # An edge field changes the one edge; any other changes the document.
+    edge = CHAIN_DOCUMENT["edges"][0]
+    if change.keys() <= edge.keys():
+        change = {"edges": [{**edge, **change}]}
+    document = {**CHAIN_DOCUMENT, **change}
+    with pytest.raises(ChainFormatError) as excinfo:
+        chain_from_json_dict(document)
+    assert str(excinfo.value) == message
+    assert analyze_refusal(tmp_path, capsys, json.dumps(document)) == f"error: {message}\n"
+
+
+def test_a_non_object_chain_document_is_refused():
+    with pytest.raises(ChainFormatError, match=r"^chain document must be a JSON object$"):
+        chain_from_json_dict([CHAIN_DOCUMENT])
+
+
+def test_a_chain_without_an_absorbing_state_is_refused(tmp_path, capsys):
+    document = {**CHAIN_DOCUMENT, "absorbing": [], "edges": [{"src": "a", "dst": "a", "prob": "1", "weight": 1}]}
+    with pytest.raises(InvalidChainError) as excinfo:
+        chain_from_json_dict(document)
+    assert excinfo.value.violations == ["chain has no absorbing state"]
+    assert analyze_refusal(tmp_path, capsys, json.dumps(document)) == "error: chain has no absorbing state\n"
 
 
 def test_unknown_keys_are_ignored():
     data = chain_to_json_dict(two_state_chain())
     data["start"] = "t0"
-    loaded = loads_chain(__import__("json").dumps(data))
+    loaded = loads_chain(json.dumps(data))
     assert loaded == two_state_chain()
 
 

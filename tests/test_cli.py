@@ -5,6 +5,7 @@ import json
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -595,6 +596,26 @@ def test_compare_statistics_rejects_a_shifted_mean():
     assert failures == {"chick mean"}
 
 
+def test_compare_statistics_fails_every_row_when_every_trial_was_censored():
+    spec = builtin_game("simplified")
+    stats = summarize(run_absorption(compile_game(spec), "1", 60), spec.win_threshold)
+    report = simulate(spec, 50, seed=3, round_cap=1)
+    assert report.censored == report.trials
+    rows, all_pass = compare_statistics(stats, report)
+    assert not all_pass
+    assert [(row.stderr, row.z, row.passed) for row in rows] == [(0.0, None, False)] * 6
+
+
+@pytest.mark.parametrize("shift, z, passed", [(0.0, None, True), (0.5, inf, False)], ids=["equal", "different"])
+def test_a_zero_variance_statistic_passes_only_on_its_exact_value(shift, z, passed):
+    spec = builtin_game("simplified")
+    stats = summarize(run_absorption(compile_game(spec), "1", 60), spec.win_threshold)
+    stats = stats._replace(chick_variance=Fraction(0))  # the chick mean's sampling variance
+    report = simulate(spec, 200, seed=3)._replace(chick_mean=float(stats.chick_mean) + shift)
+    row = next(row for row in compare_statistics(stats, report)[0] if row.name == "chick mean")
+    assert (row.stderr, row.z, row.passed) == (0.0, z, passed)
+
+
 def test_compare_exit_code_signals_failure(capsys):
     # Seed 180 was hunted to land a > 4 standard error fluctuation at
     # 120 trials, so this run must report the failure and exit 1.
@@ -656,6 +677,13 @@ def test_output_flag_writes_a_file(tmp_path, capsys):
         assert code == EXIT_OK
         assert run_cli(capsys, *argv, "--output", str(target)) == (EXIT_OK, "", "")
         assert target.read_bytes() == out.encode()
+
+
+def test_output_into_a_missing_directory_is_a_runtime_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "simplified", "--output", str(target))
+    assert (code, out) == (EXIT_RUNTIME, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 
 def test_missing_input_is_a_usage_error(capsys):

@@ -17,7 +17,7 @@ from capchain import (
 )
 
 from _oracle import brute_force_record, matches, next_location
-from _testlib import marginal_capital, record_as_dicts
+from _testlib import analyze_refusal, marginal_capital, record_as_dicts
 
 
 def out_edges(chain, src):
@@ -87,12 +87,60 @@ def test_wrong_square_count_diagnostic():
     assert any("wrong square count" in d for d in excinfo.value.diagnostics)
 
 
-def test_all_diagnostics_are_collected_at_once():
+# parse_game_spec's refusals of a field of the wrong shape.
+ANIMALS_SHAPE = "animals: must be a list of tag strings"
+BOARD_SHAPE = "board: must be a list of square labels or one comma-separated string"
+BLUE_SHAPE = "blue: must be a list of square numbers"
+
+
+def test_all_diagnostics_are_collected_at_once(tmp_path, capsys):
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec(
             '{"animals": ["S"], "board": ["0", "X", "S"], "blue": [99]}'
         )
     assert len(excinfo.value.diagnostics) >= 2
+    # Every field of the wrong shape, each reported.
+    text = '{"animals": "S", "board": 5, "blue": [1.5]}'
+    shapes = [ANIMALS_SHAPE, BOARD_SHAPE, BLUE_SHAPE]
+    with pytest.raises(GameSpecError) as excinfo:
+        parse_game_spec(text)
+    assert excinfo.value.diagnostics == shapes
+    assert analyze_refusal(tmp_path, capsys, text) == "".join(f"error: {line}\n" for line in shapes)
+
+
+@pytest.mark.parametrize(
+    "text, diagnostics",
+    [
+        ('{"animals": "S", "board": ["0", "S"]}', [ANIMALS_SHAPE]),
+        ('{"animals": ["S"], "board": 5}', [BOARD_SHAPE]),
+        ('{"animals": ["S"], "board": ["0", "S"], "blue": "2"}', [BLUE_SHAPE]),
+        ('{"animals": ["S"], "board": ["0", "S"], "win_threshold": 1e3}', ["win_threshold: must be an integer"]),
+        ('{"animals": [], "board": ["0", "0"]}', ["animals: at least one tag is required"]),
+        ('{"animals": ["*"], "board": ["0", "0"]}', ["animals: '*' is not a usable tag"]),
+        ('{"animals": [""], "board": ["0", "0"]}', ["animals: '' is not a usable tag"]),
+        ('{"animals": ["S", "S"], "board": ["0", "S"]}', ["animals: duplicate tag 'S'"]),
+        (
+            '{"animals": ["S"], "board": ["0", "S"], "win_threshold": 0}',
+            ["win_threshold must be >= 1, got 0", "wrong square count: board has 3 squares, win_threshold 0 needs 1"],
+        ),
+        (
+            '{"animals": ["S"], "board": [], "win_threshold": 1}',
+            [
+                "board must have at least a start and a terminal square",
+                "wrong square count: board has 1 squares, win_threshold 1 needs 2",
+            ],
+        ),
+    ],
+    ids=[
+        "animals-shape", "board-shape", "blue-shape", "float-threshold", "no-animals", "reserved-tag",
+        "empty-tag", "duplicate-tag", "threshold-below-1", "short-board",
+    ],
+)
+def test_unsound_game_documents_are_refused(tmp_path, capsys, text, diagnostics):
+    with pytest.raises(GameSpecError) as excinfo:
+        parse_game_spec(text)
+    assert excinfo.value.diagnostics == diagnostics
+    assert analyze_refusal(tmp_path, capsys, text) == "".join(f"error: {line}\n" for line in diagnostics)
 
 
 def test_invalid_json_is_a_diagnostic():
@@ -106,9 +154,13 @@ def test_json_past_the_parser_limits_is_a_diagnostic(board):
         parse_game_spec('{"board": ' + board + "}")
 
 
-def test_non_object_document_is_refused():
+def test_non_object_document_is_refused(tmp_path, capsys):
     with pytest.raises(GameSpecError, match="object"):
         parse_game_spec("[1, 2]")
+    # The CLI tells a game from a chain by a top-level field, so it names both.
+    assert analyze_refusal(tmp_path, capsys, "[1, 2]") == (
+        f"error: {tmp_path / 'document.json'}: document has neither a 'board' (game) nor an 'edges' (chain) field\n"
+    )
 
 
 def test_start_square_label_is_tolerated_and_ignored():

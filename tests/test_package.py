@@ -6,6 +6,7 @@ import pytest
 
 import capchain
 from capchain.base import MAX_DENOMINATOR_BITS, MAX_RECORD_BITS, MAX_ROUNDS, MAX_WINDOW
+from capchain.cli import main
 
 from _testlib import run_python
 
@@ -35,12 +36,24 @@ ENTRY_POINTS = {
         [*modules("chain", "poly", "stats"), "fractions", "decimal", "dataclasses", "inspect"],
     ),
     "analyze": (command("analyze", "--builtin", "simplified", "-M", "2"), modules("simulator")),
+    # The chain file is the probe's first argument.
+    "analyze <chain.json>": (
+        "import sys\nfrom capchain.cli import main\nassert main(['analyze', sys.argv[1], '-M', '2']) == 0\n",
+        modules("game", "simulator"),
+    ),
 }
 
 
+@pytest.fixture(scope="module")
+def chain_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain") / "chain.json"
+    assert main(["dump-chain", "--builtin", "simplified", "--output", str(path)]) == 0
+    return str(path)
+
+
 @pytest.mark.parametrize("probe, absent", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
-def test_each_entry_point_loads_only_what_it_uses(probe, absent):
-    proc = run_python(f"import sys\n{probe}print(sorted(set({absent!r}) & set(sys.modules)))\n")
+def test_each_entry_point_loads_only_what_it_uses(probe, absent, chain_path):
+    proc = run_python(f"import sys\n{probe}print(sorted(set({absent!r}) & set(sys.modules)))\n", chain_path)
     assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (0, ["[]"]), proc.stderr
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import inf, lcm
 from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple
 
-from .base import (  # re-exported: these have always been importable from here
+from . import (  # re-exported: these have always been importable from here
     MAX_DENOMINATOR_BITS,
     MAX_RECORD_BITS,
     MAX_ROUNDS,

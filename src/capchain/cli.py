@@ -20,7 +20,8 @@ the game and the simulator, never the exact engine, the statistics,
 the game only for a game input.
 
 Exit codes: 0 success, 1 runtime failure (including a failed
-comparison), 2 input or validation error.
+comparison), 2 input or validation error: any `capchain.UsageError`,
+whichever layer raised it, printed as one `error:` line per problem.
 """
 
 from __future__ import annotations
@@ -33,16 +34,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from .base import (
-    MAX_DIGITS,
-    MAX_RECORD_BITS,
-    MAX_ROUNDS,
-    ChainFormatError,
-    GameSpecError,
-    InvalidChainError,
-    RecordTooLargeError,
-    format_rows,
-)
+from . import MAX_DIGITS, MAX_RECORD_BITS, MAX_ROUNDS, UsageError, format_rows
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -71,10 +63,6 @@ def __getattr__(name: str) -> object:
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    """An input problem that is the caller's to fix; maps to exit code 2."""
 
 
 def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
@@ -168,7 +156,7 @@ def _analysis_report(record: AbsorptionRecord, config: argparse.Namespace) -> Un
         epsilon = _cli.epsilon_pair(record.epsilon, config.digits)
         empty = {"record": []} if config.full_record else {}
         return {"M": record.rounds_run, "epsilon": epsilon, "statistics": None, **empty}
-    stats = _cli.summarize(record, record.support[1])
+    stats = _cli.summarize(record)
     report = (_cli.stats_json_dict if as_json else _cli.render_stats)(stats, config.digits)
     if not config.full_record:
         return report
@@ -275,7 +263,7 @@ def cmd_compare(config: argparse.Namespace) -> int:
     record = _run_exact(spec, config.rounds)
     if record.epsilon == 1:
         raise UsageError("no mass was absorbed; cannot condition on absorption")
-    stats = _cli.summarize(record, record.support[1])
+    stats = _cli.summarize(record)
     report = _cli.simulate(spec, config.trials, config.seed, round_cap=10 * config.rounds)
     rows, all_pass = compare_statistics(stats, report)
     with _unlimited_int_text():
@@ -410,12 +398,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(config, "digits", 0) > MAX_DIGITS:
             raise UsageError(f"--digits {config.digits} exceeds the limit of {MAX_DIGITS} places")
         return _COMMANDS[config.command](config)
-    except (GameSpecError, InvalidChainError) as exc:
-        for line in exc.diagnostics if isinstance(exc, GameSpecError) else exc.violations:
+    except UsageError as exc:
+        for line in exc.problems:
             print(f"error: {line}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UsageError, ChainFormatError, RecordTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from .base import GameSpecError, is_int
+from . import GameSpecError, is_int
 
 if TYPE_CHECKING:  # only `compile_game` loads the engine
     from .chain import WeightedMarkovChain
@@ -105,7 +105,7 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
                 )
             elif label != EMPTY and label not in seen:
                 diagnostics.append(f"square {position}: unknown animal tag {label!r}")
-        if self.squares and len(self.squares) != self.win_threshold + 1:
+        if len(self.squares) >= 2 and len(self.squares) != self.win_threshold + 1:  # else reported above
             diagnostics.append(
                 f"wrong square count: board has {len(self.squares)} squares, "
                 f"win_threshold {self.win_threshold} needs {self.win_threshold + 1}"

@@ -190,10 +190,6 @@ class CappedPolynomial:
     def support(self) -> tuple[int, int]:
         return (self.support_min, self.support_max)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._value
-
     def _key(self) -> tuple:
         return self.support_min, self.support_max, tuple(self.terms())
 

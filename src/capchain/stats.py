@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .base import MAX_DIGITS, format_rows
+from . import MAX_DIGITS, format_rows
 
 if TYPE_CHECKING:
     from .chain import AbsorptionRecord
@@ -81,7 +81,7 @@ def _to_decimal(value: Fraction) -> Decimal:
     return Decimal(value.numerator) / Decimal(value.denominator)
 
 
-def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
+def summarize(record: AbsorptionRecord) -> SummaryStats:
     """Extract all summary statistics, conditioned on absorption.
 
     One pass over the unconditioned record's absorbed rows reads each
@@ -89,13 +89,15 @@ def summarize(record: AbsorptionRecord, win_capital: int) -> SummaryStats:
     marginal, the round marginal's raw power sums and the round x capital
     cross sum over one common denominator, lifting the sums so far to each
     new denominator as it appears (Horner); each raw moment is then divided
-    by that denominator and 1 - epsilon once.  `win_capital` is the capital
-    level that counts as a win (the upper clamp for a compiled game).
+    by that denominator and 1 - epsilon once.  A win is absorption at the
+    top of the capital window, `record.support[1]` (the upper clamp for a
+    compiled game).
     Raises ValueError when the record absorbed no mass at all, because
     conditioning is then undefined.
     """
     if record.epsilon == 1:
         raise ValueError("no mass was absorbed; cannot condition on absorption")
+    win_capital = record.support[1]
     common = 1
     capital: dict[int, int] = {}
     sums = [0] * 6  # round marginal power sums of orders 0..4, then the cross sum

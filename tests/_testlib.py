@@ -98,7 +98,7 @@ def chain_and_vector(draw, **kwargs):
                 st.lists(unit_fractions(), min_size=width, max_size=width)
             )
             poly = CappedPolynomial(lo, hi, tuple(coeffs))
-            if not poly.is_zero:
+            if poly.mass() != 0:
                 entries[state] = poly
     total = sum((poly.mass() for poly in entries.values()), Fraction(0))
     if total > 1:

@@ -38,10 +38,10 @@ def full_record_80(full_chain):
 
 
 @pytest.fixture(scope="session")
-def full_stats_60(full_record_60, full_game):
-    return summarize(full_record_60, full_game.win_threshold)
+def full_stats_60(full_record_60):
+    return summarize(full_record_60)
 
 
 @pytest.fixture(scope="session")
-def full_stats_80(full_record_80, full_game):
-    return summarize(full_record_80, full_game.win_threshold)
+def full_stats_80(full_record_80):
+    return summarize(full_record_80)

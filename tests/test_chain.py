@@ -76,7 +76,7 @@ def test_validate_flags_probabilities_not_summing_to_one():
             edges=(Edge("1", "end", Fraction(2, 3), 0),),
             support=(0, 4),
         )
-    violations = excinfo.value.violations
+    violations = excinfo.value.problems
     assert len(violations) == 1
     assert "'1'" in violations[0]
     assert "2/3" in violations[0]
@@ -97,7 +97,7 @@ def test_validate_flags_edges_out_of_absorbing_states():
             ),
             support=(0, 4),
         )
-    assert any("absorbing" in violation for violation in excinfo.value.violations)
+    assert any("absorbing" in violation for violation in excinfo.value.problems)
 
 
 def test_validate_flags_undeclared_states_and_bad_probabilities():
@@ -111,7 +111,7 @@ def test_validate_flags_undeclared_states_and_bad_probabilities():
             ),
             support=(0, 4),
         )
-    violations = excinfo.value.violations
+    violations = excinfo.value.problems
     assert any("destination" in violation for violation in violations)
     assert any("source" in violation for violation in violations)
     assert any("not positive" in violation for violation in violations)
@@ -121,7 +121,7 @@ def test_validate_flags_a_capital_window_over_the_limit():
     assert two_state_chain(support=(1, MAX_WINDOW)).validate() == []
     with pytest.raises(InvalidChainError) as excinfo:
         two_state_chain(support=(0, MAX_WINDOW))
-    assert excinfo.value.violations == [f"capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit"]
+    assert excinfo.value.problems == [f"capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit"]
 
 
 def test_validate_flags_duplicate_ids_and_inverted_support():
@@ -132,7 +132,7 @@ def test_validate_flags_duplicate_ids_and_inverted_support():
             edges=(Edge("x", "x", Fraction(1), 0),),
             support=(3, 1),
         )
-    violations = excinfo.value.violations
+    violations = excinfo.value.problems
     assert any("more than once" in violation for violation in violations)
     assert any("inverted" in violation for violation in violations)
 
@@ -140,7 +140,7 @@ def test_validate_flags_duplicate_ids_and_inverted_support():
 def test_validate_flags_a_chain_without_transient_states():
     with pytest.raises(InvalidChainError) as excinfo:
         WeightedMarkovChain(transient=(), absorbing=("a0",), edges=(), support=(0, 4))
-    assert excinfo.value.violations == ["chain has no transient state"]
+    assert excinfo.value.problems == ["chain has no transient state"]
 
 
 @pytest.mark.parametrize("prob", ["1", 1])
@@ -445,7 +445,7 @@ def test_a_chain_without_an_absorbing_state_is_refused(tmp_path, capsys):
     document = {**CHAIN_DOCUMENT, "absorbing": [], "edges": [{"src": "a", "dst": "a", "prob": "1", "weight": 1}]}
     with pytest.raises(InvalidChainError) as excinfo:
         chain_from_json_dict(document)
-    assert excinfo.value.violations == ["chain has no absorbing state"]
+    assert excinfo.value.problems == ["chain has no absorbing state"]
     assert analyze_refusal(tmp_path, capsys, json.dumps(document)) == "error: chain has no absorbing state\n"
 
 
@@ -521,7 +521,7 @@ def chain_and_coprime_vector(draw):
             )
         )
         poly = CappedPolynomial(lo, hi, cells)
-        if not poly.is_zero:
+        if poly.mass() != 0:
             vector[state] = poly
     return chain, vector
 

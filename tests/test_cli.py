@@ -11,7 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from capchain import (
+    ChainFormatError,
     Edge,
+    GameSpecError,
+    InvalidChainError,
+    RecordTooLargeError,
+    UsageError,
     WeightedMarkovChain,
     builtin_game,
     compile_game,
@@ -62,7 +67,7 @@ def test_analyze_text_matches_library_render(capsys):
     assert err == ""
     spec = builtin_game("simplified")
     record = run_absorption(compile_game(spec), "1", 60)
-    assert out == render_stats(summarize(record, spec.win_threshold), 13)
+    assert out == render_stats(summarize(record), 13)
 
 
 def test_analyze_is_bit_identical_across_runs(capsys):
@@ -121,12 +126,12 @@ def test_analyze_full_record_text(capsys):
     assert "round   3  state    9" in out
 
 
-def fraction_built_report(record, win_capital, fmt):
+def fraction_built_report(record, fmt):
     """The full-record report built the plain way: a Fraction per cell, `json.dumps` over the record.
 
     Rows are written with `fraction_text`, never `str(poly)`, which is the code under test.
     """
-    stats = summarize(record, win_capital)
+    stats = summarize(record)
     entries = sorted(record.conditional().absorbed.items())
     if fmt == "text":
         return render_stats(stats, 13) + "\nabsorbed polynomials (conditional on absorption):\n" + "".join(
@@ -161,7 +166,7 @@ def test_full_record_matches_the_fraction_built_report(chain, rounds, fmt):
     record = run_absorption(chain, chain.transient[0], rounds)
     assume(record.epsilon != 1)
     config = argparse.Namespace(format=fmt, full_record=True, digits=13)
-    expected = fraction_built_report(record, chain.support[1], fmt)
+    expected = fraction_built_report(record, fmt)
     assert "".join(cli._analysis_report(record, config)) == expected
 
 
@@ -584,7 +589,7 @@ def test_compare_statistics_rejects_a_shifted_mean():
     spec = builtin_game("simplified")
     chain = compile_game(spec)
     record = run_absorption(chain, "1", 60)
-    stats = summarize(record, spec.win_threshold)
+    stats = summarize(record)
     report = simulate(spec, 20000, seed=3)
     rows, all_pass = compare_statistics(stats, report)
     assert all_pass
@@ -598,7 +603,7 @@ def test_compare_statistics_rejects_a_shifted_mean():
 
 def test_compare_statistics_fails_every_row_when_every_trial_was_censored():
     spec = builtin_game("simplified")
-    stats = summarize(run_absorption(compile_game(spec), "1", 60), spec.win_threshold)
+    stats = summarize(run_absorption(compile_game(spec), "1", 60))
     report = simulate(spec, 50, seed=3, round_cap=1)
     assert report.censored == report.trials
     rows, all_pass = compare_statistics(stats, report)
@@ -609,7 +614,7 @@ def test_compare_statistics_fails_every_row_when_every_trial_was_censored():
 @pytest.mark.parametrize("shift, z, passed", [(0.0, None, True), (0.5, inf, False)], ids=["equal", "different"])
 def test_a_zero_variance_statistic_passes_only_on_its_exact_value(shift, z, passed):
     spec = builtin_game("simplified")
-    stats = summarize(run_absorption(compile_game(spec), "1", 60), spec.win_threshold)
+    stats = summarize(run_absorption(compile_game(spec), "1", 60))
     stats = stats._replace(chick_variance=Fraction(0))  # the chick mean's sampling variance
     report = simulate(spec, 200, seed=3)._replace(chick_mean=float(stats.chick_mean) + shift)
     row = next(row for row in compare_statistics(stats, report)[0] if row.name == "chick mean")
@@ -763,6 +768,22 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "simulate", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["simulate", "--builtin", "simplified", "--trials", "1"])
+
+
+@pytest.mark.parametrize(
+    "error", [UsageError, RecordTooLargeError, ChainFormatError, InvalidChainError, GameSpecError],
+    ids=lambda error: error.__name__,
+)
+def test_exit_2_follows_the_usage_error_type(monkeypatch, capsys, error):
+    # `main` maps the type, whichever layer raised it: one line per problem.
+    assert issubclass(error, UsageError) and issubclass(error, ValueError)
+
+    def refuse(*args, **kwargs):
+        raise error(["first problem", "second problem"])
+
+    monkeypatch.setattr(cli, "summarize", refuse)
+    assert main(["analyze", "--builtin", "simplified"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: first problem\nerror: second problem\n")
 
 
 def test_unknown_subcommand_exits_with_usage(capsys):

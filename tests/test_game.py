@@ -58,25 +58,25 @@ def test_compact_board_string_form(simplified_game):
 def test_missing_terminal_diagnostic():
     with pytest.raises(GameSpecError) as excinfo:
         GameSpec(animals=("S",), squares=("0", "S", "0"), blue=frozenset(), win_threshold=2)
-    assert any("missing terminal" in d for d in excinfo.value.diagnostics)
+    assert any("missing terminal" in d for d in excinfo.value.problems)
 
 
 def test_misplaced_terminal_diagnostics():
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec('{"animals": ["S"], "board": ["0", "*", "S"]}')
-    assert any("square 2" in d for d in excinfo.value.diagnostics)
+    assert any("square 2" in d for d in excinfo.value.problems)
 
 
 def test_unknown_tag_diagnostic_carries_its_position():
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec('{"animals": ["S"], "board": ["0", "X", "S"]}')
-    assert any("square 2" in d and "'X'" in d for d in excinfo.value.diagnostics)
+    assert any("square 2" in d and "'X'" in d for d in excinfo.value.problems)
 
 
 def test_blue_out_of_range_diagnostic():
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec('{"animals": ["S"], "board": ["0", "S"], "blue": [99]}')
-    assert any("99" in d for d in excinfo.value.diagnostics)
+    assert any("99" in d for d in excinfo.value.problems)
 
 
 def test_wrong_square_count_diagnostic():
@@ -84,7 +84,7 @@ def test_wrong_square_count_diagnostic():
         parse_game_spec(
             '{"animals": ["S"], "board": ["0", "S"], "win_threshold": 7}'
         )
-    assert any("wrong square count" in d for d in excinfo.value.diagnostics)
+    assert any("wrong square count" in d for d in excinfo.value.problems)
 
 
 # parse_game_spec's refusals of a field of the wrong shape.
@@ -98,13 +98,13 @@ def test_all_diagnostics_are_collected_at_once(tmp_path, capsys):
         parse_game_spec(
             '{"animals": ["S"], "board": ["0", "X", "S"], "blue": [99]}'
         )
-    assert len(excinfo.value.diagnostics) >= 2
+    assert len(excinfo.value.problems) >= 2
     # Every field of the wrong shape, each reported.
     text = '{"animals": "S", "board": 5, "blue": [1.5]}'
     shapes = [ANIMALS_SHAPE, BOARD_SHAPE, BLUE_SHAPE]
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec(text)
-    assert excinfo.value.diagnostics == shapes
+    assert excinfo.value.problems == shapes
     assert analyze_refusal(tmp_path, capsys, text) == "".join(f"error: {line}\n" for line in shapes)
 
 
@@ -125,10 +125,7 @@ def test_all_diagnostics_are_collected_at_once(tmp_path, capsys):
         ),
         (
             '{"animals": ["S"], "board": [], "win_threshold": 1}',
-            [
-                "board must have at least a start and a terminal square",
-                "wrong square count: board has 1 squares, win_threshold 1 needs 2",
-            ],
+            ["board must have at least a start and a terminal square"],
         ),
     ],
     ids=[
@@ -139,7 +136,7 @@ def test_all_diagnostics_are_collected_at_once(tmp_path, capsys):
 def test_unsound_game_documents_are_refused(tmp_path, capsys, text, diagnostics):
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec(text)
-    assert excinfo.value.diagnostics == diagnostics
+    assert excinfo.value.problems == diagnostics
     assert analyze_refusal(tmp_path, capsys, text) == "".join(f"error: {line}\n" for line in diagnostics)
 
 
@@ -192,11 +189,11 @@ def test_a_non_integer_win_threshold_is_a_diagnostic(simplified_game, threshold)
 def test_a_non_integer_blue_square_is_a_diagnostic(simplified_game):
     with pytest.raises(GameSpecError) as excinfo:
         simplified_game._replace(blue=[3, 3.7, "6"])
-    assert excinfo.value.diagnostics == ["blue square '6' is not an integer", "blue square 3.7 is not an integer"]
+    assert excinfo.value.problems == ["blue square '6' is not an integer", "blue square 3.7 is not an integer"]
     for flag in (True, False):  # bool is an int subclass, and still not a square number
         with pytest.raises(GameSpecError) as excinfo:
             simplified_game._replace(blue=[3, flag])
-        assert excinfo.value.diagnostics == [f"blue square {flag!r} is not an integer"]
+        assert excinfo.value.problems == [f"blue square {flag!r} is not an integer"]
 
 
 def test_unknown_builtin_is_an_error():

@@ -5,12 +5,12 @@ from importlib import import_module
 import pytest
 
 import capchain
-from capchain.base import MAX_DENOMINATOR_BITS, MAX_RECORD_BITS, MAX_ROUNDS, MAX_WINDOW
+from capchain import MAX_DENOMINATOR_BITS, MAX_RECORD_BITS, MAX_ROUNDS, MAX_WINDOW
 from capchain.cli import main
 
 from _testlib import run_python
 
-SUBMODULES = ("base", "chain", "cli", "game", "poly", "simulator", "stats")
+SUBMODULES = ("chain", "cli", "game", "poly", "simulator", "stats")
 
 
 def modules(*names: str) -> list[str]:
@@ -26,6 +26,8 @@ def command(*argv: str) -> str:
 ENTRY_POINTS = {
     "import capchain": ("import capchain\n", modules(*SUBMODULES)),
     "import capchain.cli": ("import capchain.cli\n", ["dataclasses", "inspect"]),
+    "GameSpecError": ("import capchain\ncapchain.GameSpecError\n", modules(*SUBMODULES)),
+    "UsageError": ("import capchain\ncapchain.UsageError\n", modules(*SUBMODULES)),
     "builtin_game": (
         "import capchain\ncapchain.builtin_game('full')\n",
         modules("chain", "cli", "poly", "simulator", "stats"),

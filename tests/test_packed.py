@@ -35,7 +35,7 @@ def chain_and_mixed_vector(draw):
             )
         )
         poly = CappedPolynomial(lo, hi, cells)
-        if not poly.is_zero:
+        if poly.mass() != 0:
             vector[state] = poly
     return chain, vector
 
@@ -127,7 +127,7 @@ def test_a_sparse_row_in_a_wide_window_costs_its_occupied_cells(lo):
     tracemalloc.start()
     try:
         record = run_absorption(walk, "a", 40)
-        stats = summarize(record, lo + 9999)
+        stats = summarize(record)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

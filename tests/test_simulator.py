@@ -351,7 +351,7 @@ def test_simulate_rejects_empty_batch():
 def test_empirical_statistics_agree_with_exact_engine():
     spec = builtin_game("simplified")
     chain = compile_game(spec)
-    stats = summarize(run_absorption(chain, "1", 60), spec.win_threshold)
+    stats = summarize(run_absorption(chain, "1", 60))
     trials = 100_000
     report = simulate(spec, trials, seed=17)
     assert report.censored == 0

@@ -67,8 +67,8 @@ def random_record(rng, support=(0, 6), max_round=5):
 
 
 def test_point_mass_record():
-    record = make_record({(2, "A"): mono(5, 1)})
-    stats = summarize(record, win_capital=5)
+    record = make_record({(2, "A"): mono(5, 1, hi=5)}, support=(0, 5))
+    stats = summarize(record)
     assert stats.win_probability == 1
     assert stats.chick_mean == 5
     assert stats.chick_variance == 0
@@ -81,23 +81,23 @@ def test_point_mass_record():
 
 
 def test_summarize_conditions_on_absorption():
-    record = make_record({(1, "A"): mono(3, Fraction(1, 2))}, epsilon=Fraction(1, 2))
-    stats = summarize(record, win_capital=3)
+    record = make_record({(1, "A"): mono(3, Fraction(1, 2), hi=3)}, epsilon=Fraction(1, 2), support=(0, 3))
+    stats = summarize(record)
     assert stats.win_probability == 1
     assert stats.chick_mean == 3
     assert stats.epsilon == Fraction(1, 2)
 
 
 def test_summarize_requires_some_absorption():
-    record = make_record({}, epsilon=Fraction(1))
+    record = make_record({}, epsilon=Fraction(1), support=(0, 3))
     with pytest.raises(ValueError):
-        summarize(record, win_capital=3)
+        summarize(record)
 
 
 def test_two_point_record_moments_by_hand():
     half = Fraction(1, 2)
-    record = make_record({(1, "A"): mono(2, half), (3, "A"): mono(4, half)})
-    stats = summarize(record, win_capital=4)
+    record = make_record({(1, "A"): mono(2, half, hi=4), (3, "A"): mono(4, half, hi=4)}, support=(0, 4))
+    stats = summarize(record)
     assert stats.win_probability == half
     assert stats.chick_mean == 3
     assert stats.chick_variance == 1
@@ -115,7 +115,7 @@ def test_variance_matches_direct_mean_centered_sum():
     rng = random.Random(11)
     for _ in range(25):
         record = random_record(rng)
-        stats = summarize(record, win_capital=6)
+        stats = summarize(record)
         capital = marginal_capital(record)
         mean = sum(exponent * coeff for exponent, coeff in capital.terms())
         direct = sum(
@@ -131,7 +131,7 @@ def test_correlation_stays_in_unit_range():
     with localcontext() as ctx:
         ctx.prec = 60
         for _ in range(25):
-            stats = summarize(random_record(rng), win_capital=6)
+            stats = summarize(random_record(rng))
             if stats.correlation is not None:
                 assert abs(stats.correlation) <= 1 + slack
             if stats.chick_kurtosis_raw is not None:
@@ -148,7 +148,7 @@ def test_relabeling_absorbing_states_changes_nothing():
         },
         support=record.support,
     )
-    assert summarize(record, 6) == summarize(relabeled, 6)
+    assert summarize(record) == summarize(relabeled)
 
 
 @settings(deadline=None, max_examples=60)
@@ -159,7 +159,7 @@ def test_summarize_matches_moments_of_the_conditioned_record(chain, rounds):
     record = run_absorption(chain, chain.transient[0], rounds)
     if record.epsilon == 1:
         return
-    stats = summarize(record, chain.support[1])
+    stats = summarize(record)
     conditional = record.conditional()
     capital = marginal_capital(conditional)
     raw_capital = distribution_moments(capital.terms())
@@ -241,8 +241,8 @@ def test_scientific_format():
 
 
 def test_render_text_report_lines():
-    record = make_record({(2, "A"): mono(5, 1)})
-    text = render_stats(summarize(record, win_capital=5), digits=5)
+    record = make_record({(2, "A"): mono(5, 1, hi=5)}, support=(0, 5))
+    text = render_stats(summarize(record), digits=5)
     rows = {}
     for line in text.splitlines():
         label, value = line.rsplit("  ", 1)
@@ -257,8 +257,8 @@ def test_render_text_report_lines():
 
 def test_json_report_schema_and_round_trip():
     half = Fraction(1, 2)
-    record = make_record({(1, "A"): mono(2, half), (3, "A"): mono(4, half)})
-    stats = summarize(record, win_capital=4)
+    record = make_record({(1, "A"): mono(2, half, hi=4), (3, "A"): mono(4, half, hi=4)}, support=(0, 4))
+    stats = summarize(record)
     document = json.loads(json.dumps(stats_json_dict(stats, digits=13)))
     assert set(document) == {
         "win_probability",
@@ -282,8 +282,8 @@ def test_json_report_schema_and_round_trip():
 
 
 def test_json_report_null_statistics_for_point_mass():
-    record = make_record({(2, "A"): mono(5, 1)})
-    document = stats_json_dict(summarize(record, win_capital=5))
+    record = make_record({(2, "A"): mono(5, 1, hi=5)}, support=(0, 5))
+    document = stats_json_dict(summarize(record))
     assert document["chicks"]["skewness"] is None
     assert document["correlation"] is None
     assert document["epsilon"]["decimal"] == "0"

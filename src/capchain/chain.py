@@ -33,6 +33,7 @@ from . import (  # re-exported: these have always been importable from here
     ChainFormatError,
     InvalidChainError,
     RecordTooLargeError,
+    UsageError,
     is_int,
 )
 
@@ -207,10 +208,10 @@ class AbsorptionRecord(NamedTuple):
 
         Scales every absorbed polynomial by 1/(1 - epsilon) and drops
         the residual, so the returned record has total mass exactly 1.
-        Raises ValueError when nothing was absorbed at all.
+        Raises UsageError when nothing was absorbed at all.
         """
         if self.epsilon == 1:
-            raise ValueError("no mass was absorbed; cannot condition on absorption")
+            raise UsageError("no mass was absorbed; cannot condition on absorption")
         if self.epsilon == 0:
             return self
         factor = 1 / (1 - self.epsilon)
@@ -224,15 +225,16 @@ def run_absorption(
     """Run `rounds` umbral steps from `start` and collect the full record.
 
     The walk starts with probability 1 in `start`, holding 0 units
-    clamped into the support window.  Raises ValueError for a bad start
-    state or horizon, and RecordTooLargeError once the absorbed rows hold
+    clamped into the support window.  Raises UsageError for a start that
+    is not a transient state or a horizon that is not an int in
+    1..MAX_ROUNDS, and RecordTooLargeError once the absorbed rows hold
     more than `max_record_bits` stored cells x denominator bits: that sum
     only grows, so the run stops at the first round that passes it.
     """
-    if not 1 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"horizon must be between 1 and {MAX_ROUNDS}, got {rounds}")
-    if start not in chain.transient_set:
-        raise ValueError(f"start state {start!r} is not a transient state")
+    if not (is_int(rounds) and 1 <= rounds <= MAX_ROUNDS):
+        raise UsageError(f"horizon must be an integer between 1 and {MAX_ROUNDS}, got {rounds!r}")
+    if not isinstance(start, str) or start not in chain.transient_set:
+        raise UsageError(f"start state {start!r} is not a transient state of the chain")
     from .poly import CappedPolynomial
 
     lo, hi = chain.support
@@ -285,6 +287,8 @@ def _parse_prob(value: object, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:  # Fraction("1e-9999999") builds 10**9999999 before any check
+            raise ChainFormatError(f'{where}: probability text may not contain "e" or "E" (exponent notation)')
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

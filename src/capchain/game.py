@@ -23,7 +23,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from . import GameSpecError, is_int
+from . import GameSpecError, UsageError, is_int
 
 if TYPE_CHECKING:  # only `compile_game` loads the engine
     from .chain import WeightedMarkovChain
@@ -203,7 +203,7 @@ def builtin_game(name: str) -> GameSpec:
     try:
         text = _BUILTIN_GAMES[name]
     except KeyError:
-        raise ValueError(
+        raise UsageError(
             f"unknown builtin game {name!r}; expected one of {sorted(_BUILTIN_GAMES)}"
         ) from None
     return parse_game_spec(text)

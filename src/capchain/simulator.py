@@ -28,6 +28,7 @@ from functools import cache
 from math import sqrt
 from typing import NamedTuple, Optional
 
+from . import UsageError, is_int
 from .game import GameSpec
 
 _MASK = (1 << 64) - 1
@@ -205,8 +206,8 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     dict counts.  Once half the slots or fewer are live, they are repacked
     into the next power of two slots.  Floats appear only at the end.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (is_int(trials) and trials >= 1):
+        raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
     table = _step_table(spec)
     faces = len(spec.animals) + 1
     cap = spec.win_threshold

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, format_rows
+from . import MAX_DIGITS, UsageError, format_rows
 
 if TYPE_CHECKING:
     from .chain import AbsorptionRecord
@@ -92,11 +92,11 @@ def summarize(record: AbsorptionRecord) -> SummaryStats:
     by that denominator and 1 - epsilon once.  A win is absorption at the
     top of the capital window, `record.support[1]` (the upper clamp for a
     compiled game).
-    Raises ValueError when the record absorbed no mass at all, because
+    Raises UsageError when the record absorbed no mass at all, because
     conditioning is then undefined.
     """
     if record.epsilon == 1:
-        raise ValueError("no mass was absorbed; cannot condition on absorption")
+        raise UsageError("no mass was absorbed; cannot condition on absorption")
     win_capital = record.support[1]
     common = 1
     capital: dict[int, int] = {}
@@ -155,7 +155,7 @@ def summarize(record: AbsorptionRecord) -> SummaryStats:
 def format_fraction(value: Fraction, digits: int) -> str:
     """Correctly rounded fixed-point string with `digits` places (ties to even)."""
     if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+        raise UsageError(f"digits must be >= 1, got {digits}")
     negative = value < 0
     scaled = abs(value) * 10**digits
     units, remainder = divmod(scaled.numerator, scaled.denominator)
@@ -170,7 +170,7 @@ def format_fraction(value: Fraction, digits: int) -> str:
 def format_fraction_scientific(value: Fraction, digits: int) -> str:
     """Scientific-notation string with `digits` significant digits."""
     if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+        raise UsageError(f"digits must be >= 1, got {digits}")
     if value == 0:
         return "0"
     with localcontext() as ctx:

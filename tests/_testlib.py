@@ -319,9 +319,11 @@ def chi_square_upper_tail(statistic: float, dof: int) -> float:
     return front * fraction
 
 
-def run_python(code: str, *args: str, timeout: float = 60) -> subprocess.CompletedProcess:
-    """Run `code` with `args` in a fresh interpreter that imports this package."""
-    env = {**os.environ, "PYTHONPATH": str(Path(capchain.__file__).resolve().parents[1])}
+def run_python(
+    code: str, *args: str, timeout: float = 60, env: dict[str, str] | None = None
+) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a fresh interpreter that imports this package, `env` added to its environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(Path(capchain.__file__).resolve().parents[1])}
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=timeout, env=env
     )

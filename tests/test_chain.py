@@ -14,6 +14,7 @@ from capchain import (
     Edge,
     InvalidChainError,
     RecordTooLargeError,
+    UsageError,
     WeightedMarkovChain,
     chain_from_json_dict,
     chain_to_json_dict,
@@ -202,13 +203,15 @@ def test_step_of_an_empty_vector_is_empty(simplified_chain):
 
 
 def test_step_rejects_mismatched_support(simplified_chain):
-    with pytest.raises(ValueError, match="support"):
+    with pytest.raises(ValueError, match="support") as excinfo:
         umbra_step(simplified_chain, {"1": CappedPolynomial.monomial(0, 1, 0, 7)})
+    assert not isinstance(excinfo.value, UsageError)  # a kernel guard: only a bug reaches it
 
 
 def test_step_rejects_unknown_states(simplified_chain):
-    with pytest.raises(ValueError, match="transient"):
+    with pytest.raises(ValueError, match="transient") as excinfo:
         umbra_step(simplified_chain, {"9": mono(0, 1)})
+    assert not isinstance(excinfo.value, UsageError)
 
 
 # run_absorption
@@ -232,12 +235,12 @@ def test_initial_capital_defaults_to_zero_clamped_into_the_window():
 
 
 def test_run_rejects_bad_start_and_horizon(simplified_chain):
-    with pytest.raises(ValueError, match="start"):
-        run_absorption(simplified_chain, "2", 5)
-    with pytest.raises(ValueError, match="horizon"):
-        run_absorption(simplified_chain, "1", 0)
-    with pytest.raises(ValueError, match=f"between 1 and {MAX_ROUNDS}"):
-        run_absorption(simplified_chain, "1", MAX_ROUNDS + 1)
+    for start in ("2", "9", ["x"]):  # not a state, an absorbing state, not hashable
+        with pytest.raises(UsageError, match=r"^start state .* is not a transient state of the chain$"):
+            run_absorption(simplified_chain, start, 5)
+    for rounds in (0, MAX_ROUNDS + 1, True, 2.5, "60"):  # out of range, or not an int
+        with pytest.raises(UsageError, match=f"^horizon must be an integer between 1 and {MAX_ROUNDS}"):
+            run_absorption(simplified_chain, "1", rounds)
 
 
 def test_a_record_of_exactly_the_limit_runs_and_one_bit_more_stops(simplified_chain):
@@ -329,7 +332,7 @@ def test_scale_cancels_and_keeps_the_fraction_products(chain, rounds, factor):
 
 def test_conditional_requires_some_absorption(simplified_chain):
     record = run_absorption(simplified_chain, "1", 1)
-    with pytest.raises(ValueError, match="condition"):
+    with pytest.raises(UsageError, match="condition"):
         record.conditional()
 
 
@@ -421,8 +424,14 @@ def test_missing_fields_are_refused(tmp_path, capsys):
         ({"weight": "1"}, "edges[0]: 'weight' must be an integer"),
         ({"prob": "1/0"}, "edges[0].prob: Fraction(1, 0)"),
         ({"prob": [1]}, "edges[0].prob: probability has unsupported type list"),
+        # Refused before `Fraction` builds the power of ten, and not echoed.
+        ({"prob": "1e-1000000"}, 'edges[0].prob: probability text may not contain "e" or "E" (exponent notation)'),
+        ({"prob": "1E5"}, 'edges[0].prob: probability text may not contain "e" or "E" (exponent notation)'),
     ],
-    ids=["transient", "absorbing", "support", "edges", "edge", "src", "weight", "prob-text", "prob-type"],
+    ids=[
+        "transient", "absorbing", "support", "edges", "edge", "src", "weight", "prob-text", "prob-type",
+        "prob-exponent", "prob-exponent-upper",
+    ],
 )
 def test_misshapen_chain_documents_are_refused(tmp_path, capsys, change, message):
     # An edge field changes the one edge; any other changes the document.

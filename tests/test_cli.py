@@ -731,6 +731,21 @@ def test_undecodable_file_is_a_usage_error(tmp_path, capsys, content, message):
     assert message in err
 
 
+def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path, capsys):
+    # JSON is UTF-8 (RFC 8259); an ASCII locale must not decide how a document is read or a report written.
+    name = "\u00fcn\u00ef"
+    edges = [{**edge, "dst": name} if edge["dst"] == "z" else edge for edge in CHAIN_DOC["edges"]]
+    path, target = tmp_path / "chain.json", tmp_path / "record.txt"
+    path.write_bytes(json.dumps({**CHAIN_DOC, "absorbing": [name], "edges": edges}, ensure_ascii=False).encode())
+    code, expected, _ = run_cli(capsys, "analyze", str(path), "--full-record")
+    assert code == EXIT_OK and name in expected
+    ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    probe = "import sys\nfrom capchain.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = run_python(probe, "analyze", str(path), "--full-record", "--output", str(target), env=ascii_locale)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
 @pytest.mark.parametrize("wrapper", ["{}", '{{"board": {}}}'], ids=["top-level", "under-board"])
 def test_too_deeply_nested_json_is_a_usage_error(tmp_path, capsys, wrapper):
     path = tmp_path / "deep.json"

@@ -10,6 +10,7 @@ from capchain import (
     Edge,
     GameSpec,
     GameSpecError,
+    UsageError,
     builtin_game,
     compile_game,
     parse_game_spec,
@@ -197,7 +198,7 @@ def test_a_non_integer_blue_square_is_a_diagnostic(simplified_game):
 
 
 def test_unknown_builtin_is_an_error():
-    with pytest.raises(ValueError, match="unknown builtin"):
+    with pytest.raises(UsageError, match="unknown builtin"):
         builtin_game("x")
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from capchain import CappedPolynomial, run_absorption
+from capchain import CappedPolynomial, UsageError, run_absorption
 
 from _testlib import (
     COPRIME_CHAIN,
@@ -44,13 +44,15 @@ def test_zero_negative_support():
 
 
 def test_zero_inverted_bounds_is_an_error():
-    with pytest.raises(ValueError, match="inverted"):
+    with pytest.raises(ValueError, match="inverted") as excinfo:
         CappedPolynomial(2, 1, ())
+    assert not isinstance(excinfo.value, UsageError)  # a kernel guard: only a bug reaches it
 
 
 def test_wrong_coefficient_count_is_an_error():
-    with pytest.raises(ValueError, match="needs 3 coefficients"):
+    with pytest.raises(ValueError, match="needs 3 coefficients") as excinfo:
         CappedPolynomial(0, 2, [0, 1])
+    assert not isinstance(excinfo.value, UsageError)
 
 
 @pytest.mark.parametrize(
@@ -63,8 +65,9 @@ def test_wrong_coefficient_count_is_an_error():
     ids=["constructor", "monomial", "scale"],
 )
 def test_negative_coefficients_are_an_error(build):
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="nonnegative") as excinfo:
         build()
+    assert not isinstance(excinfo.value, UsageError)
 
 
 def test_equal_rationals_in_different_forms_are_equal_and_hash_equal():

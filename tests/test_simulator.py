@@ -9,6 +9,7 @@ from capchain import (
     GameSpec,
     GameSpecError,
     SplitMix64,
+    UsageError,
     builtin_game,
     compile_game,
     mix64,
@@ -118,8 +119,9 @@ def test_randbelow_range_and_degenerate_bound():
     assert set(draws) <= set(range(6))
     assert set(draws) == set(range(6))
     assert all(SplitMix64(7).randbelow(1) == 0 for _ in range(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         rng.randbelow(0)
+    assert not isinstance(excinfo.value, UsageError)  # a kernel guard: only a bug reaches it
 
 
 # single plays
@@ -344,8 +346,9 @@ def test_report_round_trips_to_json_dict():
 
 
 def test_simulate_rejects_empty_batch():
-    with pytest.raises(ValueError):
-        simulate(builtin_game("simplified"), 0, seed=1)
+    for trials in (0, True, 2.5):  # none, or not an int
+        with pytest.raises(UsageError, match="^trials must be an integer >= 1"):
+            simulate(builtin_game("simplified"), trials, seed=1)
 
 
 def test_empirical_statistics_agree_with_exact_engine():

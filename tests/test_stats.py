@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from capchain import (
     AbsorptionRecord,
     CappedPolynomial,
+    UsageError,
     central_moments,
     distribution_moments,
     format_fraction,
@@ -90,7 +91,7 @@ def test_summarize_conditions_on_absorption():
 
 def test_summarize_requires_some_absorption():
     record = make_record({}, epsilon=Fraction(1), support=(0, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="^no mass was absorbed; cannot condition on absorption$"):
         summarize(record)
 
 
@@ -196,8 +197,9 @@ def test_distribution_moments_by_hand():
 
 
 def test_central_moments_require_unit_mass():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         central_moments([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4), Fraction(8)])
+    assert not isinstance(excinfo.value, UsageError)  # a kernel guard: only a bug reaches it
 
 
 def test_central_moments_of_a_fair_coin():
@@ -230,8 +232,9 @@ def test_format_fraction_never_prints_negative_zero():
 
 
 def test_format_fraction_rejects_nonpositive_digits():
-    with pytest.raises(ValueError):
-        format_fraction(Fraction(1, 3), 0)
+    for render in (format_fraction, format_fraction_scientific):
+        with pytest.raises(UsageError, match="^digits must be >= 1, got 0$"):
+            render(Fraction(1, 3), 0)
 
 
 def test_scientific_format():

@@ -11,19 +11,18 @@ bit-for-bit on every platform and Python version.  Each trial mixes
 its own stream out of (seed, trial index), so results do not depend
 on how trials are batched, and the reduction is exact until the end.
 
-There are two ways to play.  `play_once` takes one game through the
-public `SplitMix64` and the move table; it is the replay path, and
-`play_once(spec, SplitMix64.stream(seed, t), round_cap)` reproduces
-trial t of any batch bit for bit.  `simulate` plays LANES trials in
-lockstep, each lane's generator state a 128-bit slot of one packed int,
-so one pass of big-int arithmetic draws for every lane (SIMD within a
-register); a live lane's step is then two lookups, sized by the board.
-The tests hold the two to equal reports.
+`play_once` is the replay path: `play_once(spec, SplitMix64.stream(seed,
+t), round_cap)` reproduces trial t of any batch bit for bit.  `simulate`
+plays LANES (2048) trials in lockstep, each lane's generator state a
+128-bit slot of one packed int, so one pass of big-int arithmetic draws
+for every lane; a live lane's step is then two lookups, sized by the
+board.  The tests hold the two to equal reports, at any LANES.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from functools import cache
 from math import sqrt
 from typing import NamedTuple, Optional
@@ -35,7 +34,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-LANES = 512  # trials `simulate` plays in lockstep
+LANES = 2048  # trials `simulate` plays in lockstep
 
 
 def mix64(value: int) -> int:
@@ -174,15 +173,17 @@ def _step_table(spec: GameSpec) -> list[tuple[int, int]]:
 
 
 @cache  # simulate asks for powers of two up to LANES, each built on first use
-def _lanes(count: int) -> tuple[int, int, int, struct.Struct]:
+def _lanes(count: int) -> tuple[int, int, int, int, struct.Struct]:
     """Constants for `count` lanes packed into one int, 128 bits a lane.
 
-    Returns `rep` (1 in every slot), `rep` times the 64-bit mask, the
-    golden step, and the codec of the slots' low halves; the high halves
-    take the mixer's 64x64-bit products, so no carry crosses a slot.
+    `rep` (1 in every slot), `rep` times the 64-bit mask and the golden
+    step, the ramp (slot i holds i golden steps) and the codec of the low
+    halves; the high halves take the mixer's 64x64-bit products.
     """
     rep = int.from_bytes((b"\1" + bytes(15)) * count, "little")
-    return rep, rep * _MASK, rep * _GOLDEN, struct.Struct("<" + "Q8x" * count)
+    codec = struct.Struct("<" + "Q8x" * count)
+    ramp = int.from_bytes(codec.pack(*range(count)), "little") * _GOLDEN
+    return rep, rep * _MASK, rep * _GOLDEN, ramp, codec
 
 
 def _mix_lanes(value: int, m64: int) -> int:
@@ -202,40 +203,38 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     lockstep: one pass of `_mix_lanes` draws for every lane, one carry
     test finds the rare draws at or above the rejection limit, and a live
     lane steps by one lookup in `_step_table` and one in a clamp list.  A
-    lane's rounds are the batch's steps less its rejected draws, which a
-    dict counts.  Once half the slots or fewer are live, they are repacked
-    into the next power of two slots.  Floats appear only at the end.
+    lane's rounds are the batch's steps less its redraws; each finished
+    lane is tallied as the int rounds * (cap + 1) + chicks.  At half the
+    slots live or fewer, lanes repack into the next power of two slots.
     """
     if not (is_int(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
+    for name, value in (("seed", seed), ("round_cap", round_cap)):
+        if not is_int(value):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
     table = _step_table(spec)
-    faces = len(spec.animals) + 1
-    cap = spec.win_threshold
+    faces, cap = len(spec.animals) + 1, spec.win_threshold
     limit = _rejection_limit(faces)
     # clamp[chicks + change] is in [0, cap]; -1 reads the last entry; a gain is at most cap + 1
     clamp = [*range(cap + 1), *[cap] * (cap + 1), 0]
-    outcomes: dict[tuple[int, int], int] = {}
+    outcomes: Counter[int] = Counter()  # rounds * (cap + 1) + chicks: finished lanes
     censored = 0 if round_cap > 0 else trials  # a cap below one spin censors every trial
     for first in range(0, trials if round_cap > 0 else 0, LANES):
         live = list(range(min(LANES, trials - first)))
-        rows, held = [0] * len(live), [0] * len(live)  # per lane: its row of `table`, its chicks
+        rows, held, redraws = ([0] * len(live) for _ in range(3))  # per lane: row, chicks, redraws
         width = 1 << (len(live) - 1).bit_length()
-        rep, m64, step, codec = _lanes(width)
+        rep, m64, step, ramp, codec = _lanes(width)  # lane i draws from stream first + i
         reject = rep * (_MASK + 1 - limit)
-        ramp = int.from_bytes(codec.pack(*range(width)), "little")  # lane i: stream first + i
-        state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp * _GOLDEN) & m64, m64)
-        rejected: dict[int, int] = {}  # lane: draws redrawn, so rounds = steps - these
-        steps = 0
+        state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp) & m64, m64)
+        steps, finished = 0, []
         while live:
             if 2 * len(live) <= width:
                 states = codec.unpack(state.to_bytes(16 * width, "little"))
                 width = 1 << (len(live) - 1).bit_length()
-                rep, m64, step, codec = _lanes(width)
+                rep, m64, step, _, codec = _lanes(width)
                 reject = rep * (_MASK + 1 - limit)
-                kept = [states[lane] for lane in live]
+                kept, rows, held, redraws = ([c[lane] for lane in live] for c in (states, rows, held, redraws))
                 state = int.from_bytes(codec.pack(*kept, *[0] * (width - len(kept))), "little")
-                rows, held = [rows[lane] for lane in live], [held[lane] for lane in live]
-                rejected = {new: rejected[old] for new, old in enumerate(live) if old in rejected}
                 live = list(range(len(live)))
             state = (state + step) & m64
             value = _mix_lanes(state, m64)
@@ -246,25 +245,26 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
                 live = [lane for lane in stepping if values[lane] >= limit]
                 stepping = [lane for lane in stepping if values[lane] < limit]
                 for lane in live:
-                    rejected[lane] = rejected.get(lane, 0) + 1
+                    redraws[lane] += 1
             for lane in stepping:
                 row, change = table[rows[lane] + values[lane] % faces]
                 held[lane] = clamp[held[lane] + change]
                 if row < 0:
-                    key = (steps - rejected.get(lane, 0), held[lane])
-                    outcomes[key] = outcomes.get(key, 0) + 1
+                    finished.append((steps - redraws[lane]) * (cap + 1) + held[lane])
                 else:
                     rows[lane] = row
                     live.append(lane)
             if steps >= round_cap:  # no lane has played more rounds than the batch has steps
                 running = len(live)
-                live = [lane for lane in live if steps - rejected.get(lane, 0) < round_cap]
+                live = [lane for lane in live if steps - redraws[lane] < round_cap]
                 censored += running - len(live)
+        outcomes.update(finished)
 
     chick_histogram: dict[int, int] = {}
     rounds_histogram: dict[int, int] = {}
     sum_c = sum_cc = sum_r = sum_rr = sum_rc = 0
-    for (rounds, chicks), count in outcomes.items():
+    for key, count in outcomes.items():
+        rounds, chicks = divmod(key, cap + 1)
         chick_histogram[chicks] = chick_histogram.get(chicks, 0) + count
         rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + count
         sum_c += count * chicks

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, UsageError, format_rows
+from . import MAX_DIGITS, UsageError, format_rows, is_int
 
 if TYPE_CHECKING:
     from .chain import AbsorptionRecord
@@ -154,8 +154,8 @@ def summarize(record: AbsorptionRecord) -> SummaryStats:
 
 def format_fraction(value: Fraction, digits: int) -> str:
     """Correctly rounded fixed-point string with `digits` places (ties to even)."""
-    if digits < 1:
-        raise UsageError(f"digits must be >= 1, got {digits}")
+    if not (is_int(digits) and digits >= 1):
+        raise UsageError(f"digits must be an integer >= 1, got {digits!r}")
     negative = value < 0
     scaled = abs(value) * 10**digits
     units, remainder = divmod(scaled.numerator, scaled.denominator)
@@ -169,8 +169,8 @@ def format_fraction(value: Fraction, digits: int) -> str:
 
 def format_fraction_scientific(value: Fraction, digits: int) -> str:
     """Scientific-notation string with `digits` significant digits."""
-    if digits < 1:
-        raise UsageError(f"digits must be >= 1, got {digits}")
+    if not (is_int(digits) and digits >= 1):
+        raise UsageError(f"digits must be an integer >= 1, got {digits!r}")
     if value == 0:
         return "0"
     with localcontext() as ctx:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import capchain.simulator
 from capchain import (
     GameSpec,
     GameSpecError,
@@ -261,6 +262,22 @@ def test_lane_constants_are_built_on_first_use_once_per_width():
     assert proc.returncode == 0, proc.stderr
 
 
+# Each trial draws from its own stream, so the batch width changes the
+# order of play and nothing else: widths from one lane to LANES give one
+# report, with a cap that censors and one that censors nothing.
+@pytest.mark.parametrize("round_cap", [10, 600])
+@pytest.mark.parametrize("name", ["simplified", "full"])
+def test_the_report_does_not_depend_on_the_batch_width(monkeypatch, name, round_cap):
+    spec = builtin_game(name)
+    trials = 2 * LANES + 3
+    reports = []
+    for width in (1, 8, 512, LANES):
+        monkeypatch.setattr(capchain.simulator, "LANES", width)
+        reports.append(simulate(spec, trials, 23, round_cap))
+    assert all(report == reports[0] for report in reports)
+    assert (reports[0].censored > 0) == (round_cap == 10)
+
+
 @pytest.mark.parametrize("trials", [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3])
 @pytest.mark.parametrize("name", ["simplified", "full"])
 def test_batch_edges_equal_a_fold_of_single_plays(name, trials):
@@ -349,6 +366,16 @@ def test_simulate_rejects_empty_batch():
     for trials in (0, True, 2.5):  # none, or not an int
         with pytest.raises(UsageError, match="^trials must be an integer >= 1"):
             simulate(builtin_game("simplified"), trials, seed=1)
+
+
+# A seed or cap that is not an int, bool included, ended up in the report
+# (round_cap 2.5 or True) or raised TypeError from inside the generator.
+@pytest.mark.parametrize("value", [True, False, 2.5, "7", None])
+@pytest.mark.parametrize("name", ["seed", "round_cap"])
+def test_simulate_rejects_a_seed_or_round_cap_that_is_not_an_int(name, value):
+    arguments = {"seed": 1, "round_cap": 600, name: value}
+    with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
+        simulate(builtin_game("simplified"), 3, **arguments)
 
 
 def test_empirical_statistics_agree_with_exact_engine():

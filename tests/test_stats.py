@@ -233,8 +233,17 @@ def test_format_fraction_never_prints_negative_zero():
 
 def test_format_fraction_rejects_nonpositive_digits():
     for render in (format_fraction, format_fraction_scientific):
-        with pytest.raises(UsageError, match="^digits must be >= 1, got 0$"):
+        with pytest.raises(UsageError, match="^digits must be an integer >= 1, got 0$"):
             render(Fraction(1, 3), 0)
+
+
+# 2.5 raised AttributeError or TypeError from deep inside, and True printed
+# one place: a bool is not a count of digits.
+@pytest.mark.parametrize("digits", [2.5, True, "3", None])
+@pytest.mark.parametrize("render", [format_fraction, format_fraction_scientific])
+def test_format_fraction_rejects_non_integer_digits(render, digits):
+    with pytest.raises(UsageError, match=r"^digits must be an integer >= 1, got "):
+        render(Fraction(1, 3), digits)
 
 
 def test_scientific_format():

@@ -11,12 +11,11 @@ bit-for-bit on every platform and Python version.  Each trial mixes
 its own stream out of (seed, trial index), so results do not depend
 on how trials are batched, and the reduction is exact until the end.
 
-`play_once` is the replay path: `play_once(spec, SplitMix64.stream(seed,
-t), round_cap)` reproduces trial t of any batch bit for bit.  `simulate`
-plays LANES (2048) trials in lockstep, each lane's generator state a
-128-bit slot of one packed int, so one pass of big-int arithmetic draws
-for every lane; a live lane's step is then two lookups, sized by the
-board.  The tests hold the two to equal reports, at any LANES.
+`play_once(spec, SplitMix64.stream(seed, t), round_cap)` replays trial t
+of any batch bit for bit.  `simulate` plays LANES (2048) trials in
+lockstep, each lane's generator state a 128-bit slot of one packed int,
+so one pass of big-int arithmetic draws for every lane.  The tests hold
+the two to equal reports, at any LANES.
 """
 
 from __future__ import annotations
@@ -157,37 +156,37 @@ class SimulationReport(NamedTuple):
 def _step_table(spec: GameSpec) -> list[tuple[int, int]]:
     """The move table as one flat list over (square, spin outcome).
 
-    Row `slot * faces` is the slot-th square of `spec.moves` (the start is
-    row 0); adding a spin outcome gives (next row, chick change): the fox
-    stays put at -1, and a move reaching the terminal has next row -1.
+    Row `2 * slot * faces` is the slot-th square of `spec.moves` (the start
+    is row 0), written twice; adding a spin outcome, or it plus faces,
+    gives (next row, chick change): the fox stays put at -1, and a move
+    reaching the terminal has next row -1.
     """
     faces = len(spec.animals) + 1
-    row = {square: slot * faces for slot, square in enumerate(spec.moves)}
+    row = {square: 2 * slot * faces for slot, square in enumerate(spec.moves)}
     row[spec.terminal_square] = -1
     table: list[tuple[int, int]] = []
     for square, moves in spec.moves.items():
-        table.append((row[square], -1))
-        for target, gain in moves:
-            table.append((row[target], gain))
+        entries = [(row[square], -1), *((row[target], gain) for target, gain in moves)]
+        table += entries + entries
     return table
 
 
 @cache  # simulate asks for powers of two up to LANES, each built on first use
-def _lanes(count: int) -> tuple[int, int, int, int, struct.Struct]:
+def _lanes(count: int) -> tuple[int, int, int, int, int, struct.Struct]:
     """Constants for `count` lanes packed into one int, 128 bits a lane.
 
-    `rep` (1 in every slot), `rep` times the 64-bit mask and the golden
-    step, the ramp (slot i holds i golden steps) and the codec of the low
-    halves; the high halves take the mixer's 64x64-bit products.
+    `rep` (1 in every slot), `rep` at each slot's bit 64 (where a carry
+    out of the low half lands), `rep` times the 64-bit mask and the golden
+    step, the ramp (slot i holds i golden steps) and the low halves' codec.
     """
     rep = int.from_bytes((b"\1" + bytes(15)) * count, "little")
     codec = struct.Struct("<" + "Q8x" * count)
     ramp = int.from_bytes(codec.pack(*range(count)), "little") * _GOLDEN
-    return rep, rep * _MASK, rep * _GOLDEN, ramp, codec
+    return rep, rep << 64, rep * _MASK, rep * _GOLDEN, ramp, codec
 
 
 def _mix_lanes(value: int, m64: int) -> int:
-    """mix64 applied to every slot of a packed int at once."""
+    """mix64 on every slot of a packed int at once; high halves take the products."""
     value = ((value ^ (value >> 30)) & m64) * _MIX1 & m64
     value = ((value ^ (value >> 27)) & m64) * _MIX2 & m64
     return value ^ ((value >> 31) & m64)
@@ -196,16 +195,16 @@ def _mix_lanes(value: int, m64: int) -> int:
 def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> SimulationReport:
     """Play `trials` independent seeded games and reduce to a report.
 
-    Trial t draws from SplitMix64.stream(seed, t), so the report is a
-    pure function of (spec, trials, seed, round_cap) regardless of
-    execution order, and `play_once(spec, SplitMix64.stream(seed, t),
-    round_cap)` replays trial t exactly.  Trials play LANES at a time in
-    lockstep: one pass of `_mix_lanes` draws for every lane, one carry
-    test finds the rare draws at or above the rejection limit, and a live
-    lane steps by one lookup in `_step_table` and one in a clamp list.  A
-    lane's rounds are the batch's steps less its redraws; each finished
-    lane is tallied as the int rounds * (cap + 1) + chicks.  At half the
-    slots live or fewer, lanes repack into the next power of two slots.
+    Trial t draws from SplitMix64.stream(seed, t), so the report is a pure
+    function of (spec, trials, seed, round_cap).  Trials play LANES at a
+    time in lockstep: one pass of `_mix_lanes` draws for every lane, one
+    carry test finds the rare draws at or above the rejection limit, and
+    draw * (2**64 // faces) >> 64, which is draw // faces or one less,
+    leaves each slot its spin or its spin plus faces; a live lane steps by
+    one lookup in `_step_table` and one in a clamp list.  A lane's rounds
+    are the batch's steps less its redraws; a finished lane is tallied as
+    the int rounds * (cap + 1) + chicks.  At half the slots live or fewer,
+    lanes repack into the next power of two slots.
     """
     if not (is_int(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
@@ -214,7 +213,7 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
             raise UsageError(f"{name} must be an integer, got {value!r}")
     table = _step_table(spec)
     faces, cap = len(spec.animals) + 1, spec.win_threshold
-    limit = _rejection_limit(faces)
+    limit, magic = _rejection_limit(faces), (_MASK + 1) // faces
     # clamp[chicks + change] is in [0, cap]; -1 reads the last entry; a gain is at most cap + 1
     clamp = [*range(cap + 1), *[cap] * (cap + 1), 0]
     outcomes: Counter[int] = Counter()  # rounds * (cap + 1) + chicks: finished lanes
@@ -223,7 +222,7 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
         live = list(range(min(LANES, trials - first)))
         rows, held, redraws = ([0] * len(live) for _ in range(3))  # per lane: row, chicks, redraws
         width = 1 << (len(live) - 1).bit_length()
-        rep, m64, step, ramp, codec = _lanes(width)  # lane i draws from stream first + i
+        rep, carries, m64, step, ramp, codec = _lanes(width)  # lane i draws from stream first + i
         reject = rep * (_MASK + 1 - limit)
         state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp) & m64, m64)
         steps, finished = 0, []
@@ -231,23 +230,24 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
             if 2 * len(live) <= width:
                 states = codec.unpack(state.to_bytes(16 * width, "little"))
                 width = 1 << (len(live) - 1).bit_length()
-                rep, m64, step, _, codec = _lanes(width)
+                rep, carries, m64, step, _, codec = _lanes(width)
                 reject = rep * (_MASK + 1 - limit)
                 kept, rows, held, redraws = ([c[lane] for lane in live] for c in (states, rows, held, redraws))
                 state = int.from_bytes(codec.pack(*kept, *[0] * (width - len(kept))), "little")
                 live = list(range(len(live)))
             state = (state + step) & m64
             value = _mix_lanes(state, m64)
-            values = codec.unpack(value.to_bytes(16 * width, "little"))
+            spins = codec.unpack((value - (value * magic >> 64 & m64) * faces).to_bytes(16 * width, "little"))
             steps += 1
             stepping, live = live, []
-            if (value + reject) >> 64 & rep:  # a rejected lane's stream advances, its round does not
+            if (value + reject) & carries:  # a rejected lane's stream advances, its round does not
+                values = codec.unpack(value.to_bytes(16 * width, "little"))
                 live = [lane for lane in stepping if values[lane] >= limit]
                 stepping = [lane for lane in stepping if values[lane] < limit]
                 for lane in live:
                     redraws[lane] += 1
             for lane in stepping:
-                row, change = table[rows[lane] + values[lane] % faces]
+                row, change = table[rows[lane] + spins[lane]]
                 held[lane] = clamp[held[lane] + change]
                 if row < 0:
                     finished.append((steps - redraws[lane]) * (cap + 1) + held[lane])

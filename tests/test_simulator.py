@@ -245,6 +245,19 @@ def test_the_chick_floor_and_cap_hold_at_both_edges(seed):
     assert set(report.chick_histogram) == {2, 3, 4}
 
 
+# simulate reads each spin off the packed draws by a multiply-high division
+# that may fall one short, so a spin can come out as itself plus the face
+# count; boards from 2 to 201 faces, where that sum passes 256 in between,
+# must still play every game as play_once does.
+@pytest.mark.parametrize("animals", [1, 2, 5, 127, 128, 200])
+def test_every_face_count_plays_as_single_plays(animals):
+    tags = tuple(f"t{index}" for index in range(animals))
+    squares = ("0",) + tuple(tags[index % animals] for index in range(2 * animals)) + ("*",)
+    spec = GameSpec(animals=tags, squares=squares, blue=(), win_threshold=2 * animals + 1)
+    for round_cap in (5, 600):
+        assert simulate(spec, 300, 3, round_cap) == fold_single_plays(spec, 300, 3, round_cap)
+
+
 def test_lane_constants_are_built_on_first_use_once_per_width():
     # Importing the package builds none; a run builds each power-of-two
     # width it needs once, so later batches and calls reuse them.

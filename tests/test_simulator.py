@@ -247,8 +247,7 @@ def test_the_chick_floor_and_cap_hold_at_both_edges(seed):
 
 # simulate reads each spin off the packed draws by a multiply-high division
 # that may fall one short, so a spin can come out as itself plus the face
-# count; boards from 2 to 201 faces, where that sum passes 256 in between,
-# must still play every game as play_once does.
+# count; boards of 2 to 201 faces must still play every game as play_once.
 @pytest.mark.parametrize("animals", [1, 2, 5, 127, 128, 200])
 def test_every_face_count_plays_as_single_plays(animals):
     tags = tuple(f"t{index}" for index in range(animals))
@@ -291,7 +290,9 @@ def test_the_report_does_not_depend_on_the_batch_width(monkeypatch, name, round_
     assert (reports[0].censored > 0) == (round_cap == 10)
 
 
-@pytest.mark.parametrize("trials", [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 3])
+# LANES - 1 to 2 * LANES + 3 straddle the batch edges; 511 to 1027 straddle
+# slot-width edges inside one batch (and were the batch edges at 512 lanes).
+@pytest.mark.parametrize("trials", [1, 511, 512, 513, 1027, LANES - 1, LANES, LANES + 1, 2 * LANES + 3])
 @pytest.mark.parametrize("name", ["simplified", "full"])
 def test_batch_edges_equal_a_fold_of_single_plays(name, trials):
     spec = builtin_game(name)

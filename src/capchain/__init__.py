@@ -95,7 +95,7 @@ _HOMES = {
     ),
     "game": "EMPTY FULL_GAME_JSON SIMPLIFIED_GAME_JSON TERMINAL GameSpec builtin_game compile_game parse_game_spec",
     "poly": "CappedPolynomial",
-    "simulator": "SimulationReport SplitMix64 mix64 play_once simulate",
+    "simulator": "SimulationReport mix64 simulate",
     "stats": (
         "SummaryStats central_moments distribution_moments epsilon_pair format_fraction "
         "format_fraction_scientific render_stats stats_json_dict summarize"

@@ -5,17 +5,17 @@ machinery with it: no polynomials, no chains, just the game's move
 table (`GameSpec.moves`) executed with sampled spins.
 
 The generator is SplitMix64: a counter bumped by a fixed odd constant,
-output through an avalanching bit mixer.  The whole algorithm is a
-dozen lines and lives here, so a given (seed, trials) reproduces
-bit-for-bit on every platform and Python version.  Each trial mixes
-its own stream out of (seed, trial index), so results do not depend
-on how trials are batched, and the reduction is exact until the end.
+output through an avalanching bit mixer (`mix64`).  The whole algorithm
+is a dozen lines, so a given (seed, trials) reproduces bit-for-bit on
+every platform and Python version.  Each trial mixes its own stream out
+of (seed, trial index), so results do not depend on how trials are
+batched, and the reduction is exact until the end.
 
-`play_once(spec, SplitMix64.stream(seed, t), round_cap)` replays trial t
-of any batch bit for bit.  `simulate` plays LANES (2048) trials in
-lockstep, each lane's generator state a 128-bit slot of one packed int,
-so one pass of big-int arithmetic draws for every lane.  The tests hold
-the two to equal reports, at any LANES.
+`simulate` plays LANES (2048) trials in lockstep, each lane's generator
+state a 128-bit slot of one packed int, so one pass of big-int
+arithmetic draws twice for every lane.  The scalar replay of trial t,
+one spin at a time, lives with the tests (`tests/_oracle.py`); they
+hold the two to equal reports, at any LANES.
 """
 
 from __future__ import annotations
@@ -48,65 +48,6 @@ def _rejection_limit(bound: int) -> int:
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     return _MASK + 1 - (_MASK + 1) % bound
-
-
-class SplitMix64:
-    """Deterministic 64-bit PRNG: state walks by a golden-ratio step, output is mixed."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    @classmethod
-    def stream(cls, seed: int, index: int) -> "SplitMix64":
-        """The index-th independent substream of a seeded run."""
-        return cls(mix64((seed + index * _GOLDEN) & _MASK))
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return mix64(self.state)
-
-    def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound), bias-free via rejection."""
-        limit = _rejection_limit(bound)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % bound
-
-
-def play_once(
-    spec: GameSpec, rng: SplitMix64, round_cap: Optional[int] = None
-) -> Optional[tuple[int, int]]:
-    """Play one game to the terminal; returns (rounds, final chicks).
-
-    Spins are uniform over the K+1 outcomes: 0 is the fox (lose one
-    chick, floor at zero, stay put), outcome k moves by animal k.
-    Chicks are clamped to [0, win_threshold] throughout.  With a
-    round_cap, a game still unfinished after that many spins is
-    abandoned and None is returned (a censored trial).
-    """
-    moves = spec.moves
-    terminal = spec.terminal_square
-    cap = spec.win_threshold
-    faces = len(spec.animals) + 1
-    square = 1
-    chicks = 0
-    rounds = 0
-    while round_cap is None or rounds < round_cap:
-        outcome = rng.randbelow(faces)
-        rounds += 1
-        if outcome == 0:
-            if chicks:
-                chicks -= 1
-            continue
-        target, gain = moves[square][outcome - 1]
-        chicks = min(chicks + gain, cap)
-        if target == terminal:
-            return rounds, chicks
-        square = target
-    return None
 
 
 class SimulationReport(NamedTuple):
@@ -156,33 +97,35 @@ class SimulationReport(NamedTuple):
 def _step_table(spec: GameSpec) -> list[tuple[int, int]]:
     """The move table as one flat list over (square, spin outcome).
 
-    Row `2 * slot * faces` is the slot-th square of `spec.moves` (the start
-    is row 0), written twice; adding a spin outcome, or it plus faces,
-    gives (next row, chick change): the fox stays put at -1, and a move
-    reaching the terminal has next row -1.
+    Row `slot * (2 * faces + 1)` is the slot-th square of `spec.moves` (the
+    start is row 0), written twice, then one no-op entry; adding a spin
+    outcome, or it plus faces, gives (next row, chick change): the fox
+    stays put at -1, and a move reaching the terminal has next row -1.
+    Adding 2 * faces gives (same row, 0), the step a redrawn spin takes.
     """
     faces = len(spec.animals) + 1
-    row = {square: 2 * slot * faces for slot, square in enumerate(spec.moves)}
+    row = {square: slot * (2 * faces + 1) for slot, square in enumerate(spec.moves)}
     row[spec.terminal_square] = -1
     table: list[tuple[int, int]] = []
     for square, moves in spec.moves.items():
         entries = [(row[square], -1), *((row[target], gain) for target, gain in moves)]
-        table += entries + entries
+        table += entries + entries + [(row[square], 0)]
     return table
 
 
 @cache  # simulate asks for powers of two up to LANES, each built on first use
-def _lanes(count: int) -> tuple[int, int, int, int, int, struct.Struct]:
+def _lanes(count: int) -> tuple[int, int, int, int, int, struct.Struct, struct.Struct]:
     """Constants for `count` lanes packed into one int, 128 bits a lane.
 
     `rep` (1 in every slot), `rep` at each slot's bit 64 (where a carry
     out of the low half lands), `rep` times the 64-bit mask and the golden
-    step, the ramp (slot i holds i golden steps) and the low halves' codec.
+    step, the ramp (slot i holds i golden steps) and the codecs of the
+    slots' low and high halves.
     """
     rep = int.from_bytes((b"\1" + bytes(15)) * count, "little")
-    codec = struct.Struct("<" + "Q8x" * count)
-    ramp = int.from_bytes(codec.pack(*range(count)), "little") * _GOLDEN
-    return rep, rep << 64, rep * _MASK, rep * _GOLDEN, ramp, codec
+    low, high = struct.Struct("<" + "Q8x" * count), struct.Struct("<" + "8xQ" * count)
+    ramp = int.from_bytes(low.pack(*range(count)), "little") * _GOLDEN
+    return rep, rep << 64, rep * _MASK, rep * _GOLDEN, ramp, low, high
 
 
 def _mix_lanes(value: int, m64: int) -> int:
@@ -195,16 +138,20 @@ def _mix_lanes(value: int, m64: int) -> int:
 def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> SimulationReport:
     """Play `trials` independent seeded games and reduce to a report.
 
-    Trial t draws from SplitMix64.stream(seed, t), so the report is a pure
-    function of (spec, trials, seed, round_cap).  Trials play LANES at a
-    time in lockstep: one pass of `_mix_lanes` draws for every lane, one
-    carry test finds the rare draws at or above the rejection limit, and
+    Trial t draws from the SplitMix64 stream seeded with
+    mix64(seed + t * golden), so the report is a pure function of (spec,
+    trials, seed, round_cap).  Trials play LANES at a time in lockstep,
+    two draws a pass: two `_mix_lanes` draw for every lane, one carry test
+    finds the rare draws at or above the rejection limit, and
     draw * (2**64 // faces) >> 64, which is draw // faces or one less,
-    leaves each slot its spin or its spin plus faces; a live lane steps by
-    one lookup in `_step_table` and one in a clamp list.  A lane's rounds
-    are the batch's steps less its redraws; a finished lane is tallied as
-    the int rounds * (cap + 1) + chicks.  At half the slots live or fewer,
-    lanes repack into the next power of two slots.
+    leaves each slot its spin or its spin plus faces.  The second draw's
+    spins go in the slots' high halves, so one `to_bytes` reads both.  A
+    redrawn spin reads the table's no-op entry.  A live lane plays both
+    steps in one iteration, each one lookup in `_step_table` and one in a
+    clamp list.  A lane's rounds are the batch's steps less its redraws;
+    a finished lane is tallied as the int rounds * (cap + 1) + chicks, and
+    one that finished on draw round_cap + 1 counts as censored.  At half
+    the slots live or fewer, lanes repack into the next power of two slots.
     """
     if not (is_int(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
@@ -213,7 +160,7 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
             raise UsageError(f"{name} must be an integer, got {value!r}")
     table = _step_table(spec)
     faces, cap = len(spec.animals) + 1, spec.win_threshold
-    limit, magic = _rejection_limit(faces), (_MASK + 1) // faces
+    limit, magic, redrawn = _rejection_limit(faces), (_MASK + 1) // faces, 2 * faces
     # clamp[chicks + change] is in [0, cap]; -1 reads the last entry; a gain is at most cap + 1
     clamp = [*range(cap + 1), *[cap] * (cap + 1), 0]
     outcomes: Counter[int] = Counter()  # rounds * (cap + 1) + chicks: finished lanes
@@ -222,37 +169,51 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
         live = list(range(min(LANES, trials - first)))
         rows, held, redraws = ([0] * len(live) for _ in range(3))  # per lane: row, chicks, redraws
         width = 1 << (len(live) - 1).bit_length()
-        rep, carries, m64, step, ramp, codec = _lanes(width)  # lane i draws from stream first + i
+        rep, carries, m64, step, ramp, low, high = _lanes(width)  # lane i draws from stream first + i
         reject = rep * (_MASK + 1 - limit)
         state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp) & m64, m64)
         steps, finished = 0, []
         while live:
             if 2 * len(live) <= width:
-                states = codec.unpack(state.to_bytes(16 * width, "little"))
+                states = low.unpack(state.to_bytes(16 * width, "little"))
                 width = 1 << (len(live) - 1).bit_length()
-                rep, carries, m64, step, _, codec = _lanes(width)
+                rep, carries, m64, step, _, low, high = _lanes(width)
                 reject = rep * (_MASK + 1 - limit)
                 kept, rows, held, redraws = ([c[lane] for lane in live] for c in (states, rows, held, redraws))
-                state = int.from_bytes(codec.pack(*kept, *[0] * (width - len(kept))), "little")
+                state = int.from_bytes(low.pack(*kept, *[0] * (width - len(kept))), "little")
                 live = list(range(len(live)))
             state = (state + step) & m64
-            value = _mix_lanes(state, m64)
-            spins = codec.unpack((value - (value * magic >> 64 & m64) * faces).to_bytes(16 * width, "little"))
-            steps += 1
-            stepping, live = live, []
-            if (value + reject) & carries:  # a rejected lane's stream advances, its round does not
-                values = codec.unpack(value.to_bytes(16 * width, "little"))
-                live = [lane for lane in stepping if values[lane] >= limit]
-                stepping = [lane for lane in stepping if values[lane] < limit]
+            one = _mix_lanes(state, m64)
+            state = (state + step) & m64
+            two = _mix_lanes(state, m64)
+            spins = (one - (one * magic >> 64 & m64) * faces) + ((two - (two * magic >> 64 & m64) * faces) << 64)
+            spins = spins.to_bytes(16 * width, "little")
+            spin1, spin2 = low.unpack(spins), high.unpack(spins)
+            steps += 2
+            if ((one + reject) | (two + reject)) & carries:  # a redraw advances the stream, not the round
+                draws = (one + (two << 64)).to_bytes(16 * width, "little")
+                draw1, draw2 = low.unpack(draws), high.unpack(draws)
+                spin1, spin2 = list(spin1), list(spin2)
                 for lane in live:
-                    redraws[lane] += 1
+                    if draw1[lane] >= limit:
+                        spin1[lane] = redrawn
+                        redraws[lane] += 1
+                    if draw2[lane] >= limit:  # counts only if the first draw left the lane live
+                        spin2[lane] = redrawn
+                        redraws[lane] += table[rows[lane] + spin1[lane]][0] >= 0
+            stepping, live = live, []
             for lane in stepping:
-                row, change = table[rows[lane] + spins[lane]]
-                held[lane] = clamp[held[lane] + change]
+                row, change = table[rows[lane] + spin1[lane]]
+                chicks = clamp[held[lane] + change]
                 if row < 0:
-                    finished.append((steps - redraws[lane]) * (cap + 1) + held[lane])
+                    finished.append((steps - 1 - redraws[lane]) * (cap + 1) + chicks)
+                    continue
+                row, change = table[row + spin2[lane]]
+                chicks = clamp[chicks + change]
+                if row < 0:
+                    finished.append((steps - redraws[lane]) * (cap + 1) + chicks)
                 else:
-                    rows[lane] = row
+                    rows[lane], held[lane] = row, chicks
                     live.append(lane)
             if steps >= round_cap:  # no lane has played more rounds than the batch has steps
                 running = len(live)
@@ -265,6 +226,9 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     sum_c = sum_cc = sum_r = sum_rr = sum_rc = 0
     for key, count in outcomes.items():
         rounds, chicks = divmod(key, cap + 1)
+        if rounds > round_cap:  # finished on the second draw of the pass that passed the cap
+            censored += count
+            continue
         chick_histogram[chicks] = chick_histogram.get(chicks, 0) + count
         rounds_histogram[rounds] = rounds_histogram.get(rounds, 0) + count
         sum_c += count * chicks

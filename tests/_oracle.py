@@ -11,12 +11,22 @@ A chain is passed as plain data: lists of state ids, a list of
 Distributions come back as nested dicts mapping capital -> Fraction.
 A game board is its square labels, squares 1..N+1 in order: "0" for an
 empty square, an animal tag, and the terminal "*" last.
+
+`SplitMix64` and `play_once` are the scalar replay of the seeded
+simulator: `play_once(spec, SplitMix64.stream(seed, t), round_cap)`
+plays trial t of any `simulate` batch one spin at a time, with its own
+copy of the generator, so the packed lockstep kernel is checked against
+code it shares nothing with.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def clamp(value: int, lo: int, hi: int) -> int:
@@ -133,3 +143,69 @@ def longest_animal_only_path(
         return depths[square]
 
     return depth(start)
+
+
+class SplitMix64:
+    """Deterministic 64-bit PRNG: state walks by a golden-ratio step, output is mixed."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK
+
+    @staticmethod
+    def mix(value: int) -> int:
+        """SplitMix64's finalizer: avalanche a 64-bit value."""
+        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK
+        return value ^ (value >> 31)
+
+    @classmethod
+    def stream(cls, seed: int, index: int) -> "SplitMix64":
+        """The index-th independent substream of a seeded run."""
+        return cls(cls.mix((seed + index * _GOLDEN) & _MASK))
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GOLDEN) & _MASK
+        return self.mix(self.state)
+
+    def randbelow(self, bound: int) -> int:
+        """Uniform integer in [0, bound), bias-free via rejection."""
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        limit = _MASK + 1 - (_MASK + 1) % bound
+        while True:
+            value = self.next_u64()
+            if value < limit:
+                return value % bound
+
+
+def play_once(spec, rng, round_cap: Optional[int] = None) -> Optional[tuple[int, int]]:
+    """Play one game of a `GameSpec` to the terminal; returns (rounds, final chicks).
+
+    Spins are uniform over the K+1 outcomes: 0 is the fox (lose one
+    chick, floor at zero, stay put), outcome k moves by animal k.
+    Chicks are clamped to [0, win_threshold] throughout.  With a
+    round_cap, a game still unfinished after that many spins is
+    abandoned and None is returned (a censored trial).
+    """
+    moves = spec.moves
+    terminal = spec.terminal_square
+    cap = spec.win_threshold
+    faces = len(spec.animals) + 1
+    square = 1
+    chicks = 0
+    rounds = 0
+    while round_cap is None or rounds < round_cap:
+        outcome = rng.randbelow(faces)
+        rounds += 1
+        if outcome == 0:
+            if chicks:
+                chicks -= 1
+            continue
+        target, gain = moves[square][outcome - 1]
+        chicks = min(chicks + gain, cap)
+        if target == terminal:
+            return rounds, chicks
+        square = target
+    return None

@@ -27,13 +27,11 @@ from capchain import (
     CappedPolynomial,
     Edge,
     SimulationReport,
-    SplitMix64,
     WeightedMarkovChain,
-    play_once,
     umbra_step,
 )
 
-from _oracle import brute_force_record
+from _oracle import SplitMix64, brute_force_record, play_once
 
 
 def unit_fractions(max_denominator: int = 8):

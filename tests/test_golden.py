@@ -78,6 +78,11 @@ CASES = {
         "simulate", "--builtin", "full", "--trials", "20000", "--seed", "7",
         "--format", "json",
     ],
+    # -M 2 caps each play at 20 rounds, which censors some of the trials.
+    "simulate-full-censored-json": [
+        "simulate", "--builtin", "full", "--trials", "3000", "--seed", "9", "-M", "2",
+        "--format", "json",
+    ],
     "compare-simplified-text": [
         "compare", "--builtin", "simplified", "--trials", "20000", "--seed", "3",
     ],
@@ -208,6 +213,11 @@ GOLDEN = {
         2,
         EMPTY,
         "c3347fa027988d0b8e4eea7e412813ce2e93f36c754cf95b5d5d06dd677f1058",
+    ),
+    "simulate-full-censored-json": (
+        0,
+        "93b321286f96d11f24d113320fbb57369a5ff39bf5886d9554b26eda8a8f8ba5",
+        EMPTY,
     ),
     "simulate-full-json": (
         0,

@@ -9,19 +9,17 @@ import capchain.simulator
 from capchain import (
     GameSpec,
     GameSpecError,
-    SplitMix64,
     UsageError,
     builtin_game,
     compile_game,
     mix64,
-    play_once,
     run_absorption,
     simulate,
     summarize,
 )
 from capchain.simulator import LANES
 
-from _oracle import longest_animal_only_path, next_location
+from _oracle import SplitMix64, longest_animal_only_path, next_location, play_once
 from _testlib import (
     chi_square_upper_tail,
     fold_single_plays,
@@ -95,6 +93,8 @@ def test_splitmix_reference_vectors():
         3203168211198807973,
         9817491932198370423,
     ]
+    # The package's finalizer gives the same first output as the replay's generator.
+    assert mix64(0x9E3779B97F4A7C15) == 16294208416658607535
 
 
 def test_mix64_is_a_64_bit_permutation_sample():
@@ -175,15 +175,17 @@ def test_simulate_is_deterministic():
     assert simulate(spec, 2000, seed=5) != simulate(spec, 2000, seed=6)
 
 
-# A round cap of 10 censors some trials on both boards; of 600, none.
-@pytest.mark.parametrize("round_cap", [600, 10])
+# A round cap of 10 or 11 censors some trials on both boards; of 600, none.
+# simulate draws twice a pass, so at the odd cap a lane can finish on
+# draw 12, past the cap, and must count as censored.
+@pytest.mark.parametrize("round_cap", [600, 10, 11])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
 @pytest.mark.parametrize("name", ["simplified", "full"])
 def test_simulate_equals_a_fold_of_single_plays(name, seed, round_cap):
     spec = builtin_game(name)
     report = simulate(spec, 1500, seed, round_cap)
     assert report == fold_single_plays(spec, 1500, seed, round_cap)
-    assert (report.censored > 0) == (round_cap == 10)
+    assert (report.censored > 0) == (round_cap != 600)
 
 
 def test_a_rejected_draw_advances_the_stream_but_not_the_round():
@@ -216,6 +218,40 @@ def test_a_rejection_in_a_later_batch_mid_game_is_redrawn():
     assert play_once(spec, SplitMix64.stream(seed, trial), round_cap=4) is None
     report = simulate(spec, LANES + 10, seed)
     assert report == fold_single_plays(spec, LANES + 10, seed, 600)
+
+
+def test_a_lane_that_finishes_before_a_rejected_second_draw_keeps_its_round():
+    # Pick the seed whose trial 0 draws 2**64 - 1 second.  Three faces
+    # accept only draws below 2**64 - 1, so that draw is redrawn; but the
+    # first draw is an animal, which ends the game in one round, so the
+    # redraw must not be taken off its round count.
+    seed = unmix64((unmix64(_MASK) - 2 * 0x9E3779B97F4A7C15) & _MASK)
+    spec = GameSpec(animals=("a", "b"), squares=("0", "*"), blue=(), win_threshold=1)
+    rng = SplitMix64.stream(seed, 0)
+    assert [rng.next_u64() for _ in range(2)][-1] == _MASK
+    assert play_once(spec, SplitMix64.stream(seed, 0)) == (1, 1)
+    for round_cap in (1, 2, 600):
+        report = simulate(spec, 40, seed, round_cap)
+        assert report == fold_single_plays(spec, 40, seed, round_cap)
+        assert simulate(spec, 1, seed, round_cap).rounds_histogram == {1: 1}
+
+
+# Trial LANES + 3 of this seed draws 2**64 - 1 on its 4th draw, the second
+# of a pass, after three rounds that do not finish its game; it finishes
+# in 15 rounds, on its 16th draw, so caps of 14 to 16 straddle its end.
+@pytest.mark.parametrize("round_cap", [14, 15, 16, 600])
+def test_a_rejection_on_a_second_draw_mid_game_is_redrawn(round_cap):
+    golden = 0x9E3779B97F4A7C15
+    trial = LANES + 3
+    start = (unmix64(_MASK) - 4 * golden) & _MASK
+    seed = (unmix64(start) - trial * golden) & _MASK
+    rng = SplitMix64.stream(seed, trial)
+    assert [rng.next_u64() for _ in range(4)][-1] == _MASK
+    spec = builtin_game("full")
+    assert play_once(spec, SplitMix64.stream(seed, trial), round_cap=3) is None
+    assert play_once(spec, SplitMix64.stream(seed, trial))[0] == 15
+    report = simulate(spec, LANES + 10, seed, round_cap)
+    assert report == fold_single_plays(spec, LANES + 10, seed, round_cap)
 
 
 # A lane's rounds are its batch's steps less its rejected draws.  Trial 0
@@ -300,10 +336,11 @@ def test_batch_edges_equal_a_fold_of_single_plays(name, trials):
 
 
 # 61 animal moves with the fox up half the time: games take 95 to 165
-# rounds, so each batch repacks as its lanes finish.  A cap of 130 comes
-# after the first repack of every batch and censors about a quarter of
-# the lanes; a cap of 100000 censors none.
-@pytest.mark.parametrize("round_cap", [130, 100_000])
+# rounds, so each batch repacks as its lanes finish.  A cap of 130 or 131
+# comes after the first repack of every batch and censors about a quarter
+# of the lanes (at 131, a lane can finish on draw 132, past the cap); a
+# cap of 100000 censors none.
+@pytest.mark.parametrize("round_cap", [130, 131, 100_000])
 def test_a_long_tailed_board_equals_a_fold_of_single_plays(round_cap):
     spec = GameSpec(
         animals=("a",), squares=("0",) + ("a",) * 60 + ("*",), blue=(), win_threshold=61
@@ -311,7 +348,7 @@ def test_a_long_tailed_board_equals_a_fold_of_single_plays(round_cap):
     trials = 2 * LANES + 3
     report = simulate(spec, trials, 5, round_cap)
     assert report == fold_single_plays(spec, trials, 5, round_cap)
-    assert (report.censored > 0) == (round_cap == 130)
+    assert (report.censored > 0) == (round_cap != 100_000)
 
 
 def test_simulate_memory_grows_with_the_board_not_with_board_times_cap():

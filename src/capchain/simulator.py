@@ -150,8 +150,9 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     steps in one iteration, each one lookup in `_step_table` and one in a
     clamp list.  A lane's rounds are the batch's steps less its redraws;
     a finished lane is tallied as the int rounds * (cap + 1) + chicks, and
-    one that finished on draw round_cap + 1 counts as censored.  At half
-    the slots live or fewer, lanes repack into the next power of two slots.
+    one that finished in round round_cap + 1, on the second step of the
+    pass that passed the cap, counts as censored.  At half the slots live
+    or fewer, lanes repack into the next power of two slots.
     """
     if not (is_int(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")

@@ -176,8 +176,8 @@ def test_simulate_is_deterministic():
 
 
 # A round cap of 10 or 11 censors some trials on both boards; of 600, none.
-# simulate draws twice a pass, so at the odd cap a lane can finish on
-# draw 12, past the cap, and must count as censored.
+# simulate draws twice a pass, so at the odd cap a lane can finish in
+# round 12, past the cap, and must count as censored.
 @pytest.mark.parametrize("round_cap", [600, 10, 11])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
 @pytest.mark.parametrize("name", ["simplified", "full"])
@@ -338,7 +338,7 @@ def test_batch_edges_equal_a_fold_of_single_plays(name, trials):
 # 61 animal moves with the fox up half the time: games take 95 to 165
 # rounds, so each batch repacks as its lanes finish.  A cap of 130 or 131
 # comes after the first repack of every batch and censors about a quarter
-# of the lanes (at 131, a lane can finish on draw 132, past the cap); a
+# of the lanes (at 131, a lane can finish in round 132, past the cap); a
 # cap of 100000 censors none.
 @pytest.mark.parametrize("round_cap", [130, 131, 100_000])
 def test_a_long_tailed_board_equals_a_fold_of_single_plays(round_cap):

@@ -15,9 +15,10 @@ Each layer function and record type loads its module the first time it
 is read, so `import capchain` loads no submodule and a caller pays only
 for the layers it uses: `capchain.builtin_game` loads the game module
 alone, `capchain.run_absorption` the engine.  What every layer shares
-and none owns lives here: the input limits, the usage errors, `is_int`
-and `format_rows`.  So the command line can check a horizon, catch an
-input error or print a report's rows without loading the exact engine.
+and none owns lives here: the input limits, the usage errors, `is_int`,
+`decode_json` and `format_rows`.  So the command line can check a
+horizon, catch an input error or print a report's rows without loading
+the exact engine.
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def decode_json(text: str, error: type[UsageError] = UsageError, where: str = "") -> object:
+    """Parse JSON text; text that does not parse raises `error`, one line led by `where`."""
+    import json  # here, so `import capchain` loads nothing more
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
+        raise error(f"{where}invalid JSON: {exc}") from None
+
+
 def format_rows(rows: Sequence[tuple[str, object]]) -> str:
     """Aligned `label  value` lines; floats print as repr, everything else as str."""
     width = max(len(label) for label, _ in rows)
@@ -95,7 +106,7 @@ _HOMES = {
     ),
     "game": "EMPTY FULL_GAME_JSON SIMPLIFIED_GAME_JSON TERMINAL GameSpec builtin_game compile_game parse_game_spec",
     "poly": "CappedPolynomial",
-    "simulator": "SimulationReport mix64 simulate",
+    "simulator": "SimulationReport simulate",
     "stats": (
         "SummaryStats central_moments distribution_moments epsilon_pair format_fraction "
         "format_fraction_scientific render_stats stats_json_dict summarize"

@@ -34,6 +34,7 @@ from . import (  # re-exported: these have always been importable from here
     InvalidChainError,
     RecordTooLargeError,
     UsageError,
+    decode_json,
     is_int,
 )
 
@@ -98,6 +99,10 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
 
     def validate(self) -> list[str]:
         """Return human-readable invariant violations, empty when the chain is sound."""
+        ids = (*self.transient, *self.absorbing, *(end for edge in self.edges for end in edge[:2]))
+        strange = dict.fromkeys(repr(state) for state in ids if not isinstance(state, str))
+        if strange:  # the checks below look ids up in sets
+            return [f"state id {text} is not a string" for text in strange]
         violations: list[str] = []
         seen: set[str] = set()
         for state in self.transient + self.absorbing:
@@ -299,24 +304,25 @@ def _parse_prob(value: object, where: str) -> Fraction:
 def chain_from_json_dict(data: object) -> WeightedMarkovChain:
     """Decode the plain-dict chain form into a sound chain.
 
-    Raises ChainFormatError on shape problems, before any chain is
-    built, and InvalidChainError (from the constructor) with every
-    broken invariant.  Unknown keys (for example an advisory "start")
-    are ignored.
+    This checks only the JSON shape: an object with the four keys, lists
+    of states and edges, a support object with 'min' and 'max', each edge
+    an object with its four keys and an exact probability.  It raises
+    ChainFormatError on the first shape problem, before any chain is built.
+    The constructor owns every field rule (string state ids, integer
+    weights and support bounds, ...) and raises InvalidChainError with
+    every broken one.  Unknown keys (for example an advisory "start") are
+    ignored.
     """
     if not isinstance(data, dict):
         raise ChainFormatError("chain document must be a JSON object")
     for key in ("transient", "absorbing", "edges", "support"):
         if key not in data:
             raise ChainFormatError(f"chain document is missing {key!r}")
-    transient = data["transient"]
-    absorbing = data["absorbing"]
-    if not isinstance(transient, list) or not all(isinstance(s, str) for s in transient):
-        raise ChainFormatError("'transient' must be a list of state ids")
-    if not isinstance(absorbing, list) or not all(isinstance(s, str) for s in absorbing):
-        raise ChainFormatError("'absorbing' must be a list of state ids")
+    for key in ("transient", "absorbing"):
+        if not isinstance(data[key], list):
+            raise ChainFormatError(f"{key!r} must be a list of state ids")
     support = data["support"]
-    if not isinstance(support, dict) or not (is_int(support.get("min")) and is_int(support.get("max"))):
+    if not isinstance(support, dict) or not {"min", "max"} <= support.keys():
         raise ChainFormatError("'support' must be an object with integer 'min' and 'max'")
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
@@ -329,22 +335,10 @@ def chain_from_json_dict(data: object) -> WeightedMarkovChain:
         for key in ("src", "dst", "prob", "weight"):
             if key not in item:
                 raise ChainFormatError(f"{where}: missing {key!r}")
-        if not isinstance(item["src"], str) or not isinstance(item["dst"], str):
-            raise ChainFormatError(f"{where}: 'src' and 'dst' must be state ids")
-        weight = item["weight"]
-        if not is_int(weight):
-            raise ChainFormatError(f"{where}: 'weight' must be an integer")
-        edges.append(
-            Edge(
-                src=item["src"],
-                dst=item["dst"],
-                prob=_parse_prob(item["prob"], f"{where}.prob"),
-                weight=weight,
-            )
-        )
+        edges.append(Edge(item["src"], item["dst"], _parse_prob(item["prob"], f"{where}.prob"), item["weight"]))
     return WeightedMarkovChain(
-        transient=tuple(transient),
-        absorbing=tuple(absorbing),
+        transient=data["transient"],
+        absorbing=data["absorbing"],
         edges=tuple(edges),
         support=(support["min"], support["max"]),
     )
@@ -352,8 +346,4 @@ def chain_from_json_dict(data: object) -> WeightedMarkovChain:
 
 def loads_chain(text: str) -> WeightedMarkovChain:
     """Decode a chain from JSON text."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
-        raise ChainFormatError(f"invalid JSON: {exc}") from None
-    return chain_from_json_dict(data)
+    return chain_from_json_dict(decode_json(text, ChainFormatError))

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, MAX_RECORD_BITS, MAX_ROUNDS, UsageError, format_rows
+from . import MAX_DIGITS, MAX_RECORD_BITS, MAX_ROUNDS, UsageError, decode_json, format_rows
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -76,10 +76,7 @@ def _load_document(config: argparse.Namespace) -> Union[GameSpec, dict]:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {config.input_path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
-        raise UsageError(f"{config.input_path}: invalid JSON: {exc}") from None
+    data = decode_json(text, where=f"{config.input_path}: ")
     if isinstance(data, dict) and "board" in data:
         return _cli.parse_game_spec(data)
     if isinstance(data, dict) and "edges" in data:

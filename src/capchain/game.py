@@ -18,12 +18,11 @@ capital window's upper clamp.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from . import GameSpecError, UsageError, is_int
+from . import GameSpecError, UsageError, decode_json, is_int
 
 if TYPE_CHECKING:  # only `compile_game` loads the engine
     from .chain import WeightedMarkovChain
@@ -47,7 +46,11 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
     def __new__(
         cls, animals: Iterable[str], squares: Iterable[str], blue: Iterable[int], win_threshold: int
     ) -> GameSpec:
-        self = super().__new__(cls, tuple(animals), tuple(squares), frozenset(blue), win_threshold)
+        try:
+            blue = frozenset(blue)
+        except TypeError:  # an unhashable entry, a list say
+            raise GameSpecError("blue: every entry must be an integer square number") from None
+        self = super().__new__(cls, tuple(animals), tuple(squares), blue, win_threshold)
         diagnostics = self.validate()
         if diagnostics:
             raise GameSpecError(diagnostics)
@@ -85,11 +88,12 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
             diagnostics.append("animals: at least one tag is required")
         seen: set[str] = set()
         for tag in self.animals:
-            if not tag or tag in _RESERVED_TAGS:
+            if not isinstance(tag, str) or not tag or tag in _RESERVED_TAGS:
                 diagnostics.append(f"animals: {tag!r} is not a usable tag")
             elif tag in seen:
                 diagnostics.append(f"animals: duplicate tag {tag!r}")
-            seen.add(tag)
+            if isinstance(tag, str):
+                seen.add(tag)
         if not is_int(self.win_threshold):  # the checks below count with it
             return diagnostics + [f"win_threshold must be an integer, got {self.win_threshold!r}"]
         if self.win_threshold < 1:
@@ -103,7 +107,7 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
                 diagnostics.append(
                     f"square {position}: terminal marker before the last square"
                 )
-            elif label != EMPTY and label not in seen:
+            elif not isinstance(label, str) or (label != EMPTY and label not in seen):
                 diagnostics.append(f"square {position}: unknown animal tag {label!r}")
         if len(self.squares) >= 2 and len(self.squares) != self.win_threshold + 1:  # else reported above
             diagnostics.append(
@@ -127,50 +131,38 @@ def parse_game_spec(source: Union[str, Mapping]) -> GameSpec:
 
     The board is a list of per-square labels, or one comma-separated
     string.  The terminal "*" may be left implicit (it is appended) or
-    written explicitly as the last entry.  `win_threshold` defaults to
-    the number of playable squares, i.e. the board length without the
-    terminal.  Raises GameSpecError carrying every diagnostic found.
+    written explicitly as the last entry.  `win_threshold` is optional:
+    it must equal the number of playable squares, the board length
+    without the terminal, and defaults to it.
+
+    This checks only the JSON shape: an object whose `animals`, `board`
+    and `blue` are lists (or the board one string), raising GameSpecError
+    with each field of the wrong shape.  `GameSpec` owns every field rule
+    (string tags and labels, integer blue squares and threshold, ...) and
+    raises GameSpecError carrying every diagnostic it finds.
     """
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except (ValueError, RecursionError) as exc:  # malformed, an int past the digit limit, or too deep
-            raise GameSpecError([f"invalid JSON: {exc}"]) from None
-    else:
-        data = source
+    data = decode_json(source, GameSpecError) if isinstance(source, str) else source
     if not isinstance(data, Mapping):
         raise GameSpecError(["game document must be a JSON object"])
 
     shape: list[str] = []
     animals = data.get("animals")
-    if not isinstance(animals, list) or not all(isinstance(a, str) for a in animals):
+    if not isinstance(animals, list):
         shape.append("animals: must be a list of tag strings")
-        animals = []
     board = data.get("board")
     if isinstance(board, str):
         board = [entry.strip() for entry in board.split(",")]
-    if not isinstance(board, list) or not all(isinstance(s, str) for s in board):
+    if not isinstance(board, list):
         shape.append("board: must be a list of square labels or one comma-separated string")
-        board = []
     blue = data.get("blue", [])
-    if not isinstance(blue, list) or not all(is_int(b) for b in blue):
+    if not isinstance(blue, list):
         shape.append("blue: must be a list of square numbers")
-        blue = []
     if shape:
         raise GameSpecError(shape)
-
     if TERMINAL not in board:
         board = board + [TERMINAL]
     threshold = data.get("win_threshold", len(board) - 1)
-    if not is_int(threshold):
-        raise GameSpecError(["win_threshold: must be an integer"])
-
-    return GameSpec(
-        animals=tuple(animals),
-        squares=tuple(board),
-        blue=frozenset(blue),
-        win_threshold=threshold,
-    )
+    return GameSpec(animals=animals, squares=board, blue=blue, win_threshold=threshold)
 
 
 SIMPLIFIED_GAME_JSON = """\

@@ -5,7 +5,7 @@ machinery with it: no polynomials, no chains, just the game's move
 table (`GameSpec.moves`) executed with sampled spins.
 
 The generator is SplitMix64: a counter bumped by a fixed odd constant,
-output through an avalanching bit mixer (`mix64`).  The whole algorithm
+output through its finalizer, an avalanching bit mixer.  The algorithm
 is a dozen lines, so a given (seed, trials) reproduces bit-for-bit on
 every platform and Python version.  Each trial mixes its own stream out
 of (seed, trial index), so results do not depend on how trials are
@@ -34,20 +34,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 LANES = 2048  # trials `simulate` plays in lockstep
-
-
-def mix64(value: int) -> int:
-    """SplitMix64's finalizer: avalanche a 64-bit value."""
-    value = ((value ^ (value >> 30)) * _MIX1) & _MASK
-    value = ((value ^ (value >> 27)) * _MIX2) & _MASK
-    return value ^ (value >> 31)
-
-
-def _rejection_limit(bound: int) -> int:
-    """Largest multiple of bound within 2**64; draws at or above it are redrawn."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    return _MASK + 1 - (_MASK + 1) % bound
 
 
 class SimulationReport(NamedTuple):
@@ -129,7 +115,7 @@ def _lanes(count: int) -> tuple[int, int, int, int, int, struct.Struct, struct.S
 
 
 def _mix_lanes(value: int, m64: int) -> int:
-    """mix64 on every slot of a packed int at once; high halves take the products."""
+    """SplitMix64's finalizer on every slot of a packed int at once; high halves take the products."""
     value = ((value ^ (value >> 30)) & m64) * _MIX1 & m64
     value = ((value ^ (value >> 27)) & m64) * _MIX2 & m64
     return value ^ ((value >> 31) & m64)
@@ -138,8 +124,8 @@ def _mix_lanes(value: int, m64: int) -> int:
 def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> SimulationReport:
     """Play `trials` independent seeded games and reduce to a report.
 
-    Trial t draws from the SplitMix64 stream seeded with
-    mix64(seed + t * golden), so the report is a pure function of (spec,
+    Trial t draws from the SplitMix64 stream seeded with the finalizer
+    of seed + t * golden, so the report is a pure function of (spec,
     trials, seed, round_cap).  Trials play LANES at a time in lockstep,
     two draws a pass: two `_mix_lanes` draw for every lane, one carry test
     finds the rare draws at or above the rejection limit, and
@@ -161,7 +147,8 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
             raise UsageError(f"{name} must be an integer, got {value!r}")
     table = _step_table(spec)
     faces, cap = len(spec.animals) + 1, spec.win_threshold
-    limit, magic, redrawn = _rejection_limit(faces), (_MASK + 1) // faces, 2 * faces
+    magic, redrawn = (_MASK + 1) // faces, 2 * faces
+    limit = faces * magic  # the largest multiple of faces within 2**64: draws at or above it are redrawn
     # clamp[chicks + change] is in [0, cap]; -1 reads the last entry; a gain is at most cap + 1
     clamp = [*range(cap + 1), *[cap] * (cap + 1), 0]
     outcomes: Counter[int] = Counter()  # rounds * (cap + 1) + chicks: finished lanes

@@ -190,8 +190,15 @@ def epsilon_pair(epsilon: Fraction, digits: int) -> dict:
     return {"decimal": format_fraction_scientific(epsilon, digits), "fraction": str(epsilon)}
 
 
+def _check_report_digits(digits: int) -> None:
+    """A report's roots carry DECIMAL_PRECISION digits, so it rounds to at most MAX_DIGITS places."""
+    if is_int(digits) and digits > MAX_DIGITS:
+        raise UsageError(f"digits {digits} exceeds the limit of {MAX_DIGITS} places")
+
+
 def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
     """Plain-dict report; rationals carry both a decimal and an exact fraction form."""
+    _check_report_digits(digits)
 
     def optional(value: Union[Fraction, Decimal, None]) -> Optional[str]:
         return None if value is None else format_fraction(Fraction(value), digits)
@@ -217,6 +224,7 @@ def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
 
 def render_stats(stats: SummaryStats, digits: int = 13) -> str:
     """Render a report as aligned text; `stats_json_dict` is the JSON form."""
+    _check_report_digits(digits)
 
     def fixed(value: Union[Fraction, Decimal, None]) -> str:
         return _UNDEFINED if value is None else format_fraction(Fraction(value), digits)

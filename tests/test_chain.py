@@ -383,6 +383,28 @@ def test_json_round_trip(simplified_chain):
     assert loads_chain(dumps_chain(simplified_chain)) == simplified_chain
 
 
+@given(small_chains())
+def test_every_sound_chain_survives_its_json_document(chain):
+    assert loads_chain(dumps_chain(chain)) == chain
+
+
+# A state id must be a string: before, an unhashable one raised TypeError from a set lookup, and
+# 5 was accepted, then written by dumps_chain into a document that loads_chain refuses.
+@pytest.mark.parametrize(
+    "transient, src, message",
+    [
+        (["a", ["b"]], "a", "state id ['b'] is not a string"),
+        (["a", 5], 5, "state id 5 is not a string"),  # reported once, though it is an edge's source too
+        (["a"], ["a"], "state id ['a'] is not a string"),
+    ],
+    ids=["unhashable-state", "int-state", "unhashable-src"],
+)
+def test_a_state_id_that_is_not_a_string_is_a_violation(transient, src, message):
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(transient, ["z"], [Edge(src, "z", 1, 0)], (0, 1))
+    assert excinfo.value.problems == [message]
+
+
 def test_probabilities_serialize_as_fraction_strings(simplified_chain):
     text = dumps_chain(simplified_chain)
     assert '"1/3"' in text
@@ -412,16 +434,17 @@ def test_missing_fields_are_refused(tmp_path, capsys):
     assert analyze_refusal(tmp_path, capsys, text) == "error: edges[0]: missing 'weight'\n"
 
 
+# The decoder checks the shape; the constructor owns every field rule (absorbing, src, weight).
 @pytest.mark.parametrize(
     "change, message",
     [
         ({"transient": "a"}, "'transient' must be a list of state ids"),
-        ({"absorbing": ["z", 2]}, "'absorbing' must be a list of state ids"),
+        ({"absorbing": ["z", 2]}, "state id 2 is not a string"),
         ({"support": [0, 1]}, "'support' must be an object with integer 'min' and 'max'"),
         ({"edges": {}}, "'edges' must be a list"),
         ({"edges": ["a"]}, "edges[0]: must be an object"),
-        ({"src": 1}, "edges[0]: 'src' and 'dst' must be state ids"),
-        ({"weight": "1"}, "edges[0]: 'weight' must be an integer"),
+        ({"src": 1}, "state id 1 is not a string"),
+        ({"weight": "1"}, "edge[0] 'a'->'z': weight '1' is not an integer"),
         ({"prob": "1/0"}, "edges[0].prob: Fraction(1, 0)"),
         ({"prob": [1]}, "edges[0].prob: probability has unsupported type list"),
         # Refused before `Fraction` builds the power of ten, and not echoed.
@@ -439,7 +462,8 @@ def test_misshapen_chain_documents_are_refused(tmp_path, capsys, change, message
     if change.keys() <= edge.keys():
         change = {"edges": [{**edge, **change}]}
     document = {**CHAIN_DOCUMENT, **change}
-    with pytest.raises(ChainFormatError) as excinfo:
+    error = InvalidChainError if message.startswith(("state id", "edge[")) else ChainFormatError
+    with pytest.raises(error) as excinfo:
         chain_from_json_dict(document)
     assert str(excinfo.value) == message
     assert analyze_refusal(tmp_path, capsys, json.dumps(document)) == f"error: {message}\n"

@@ -1,5 +1,6 @@
 """Game parsing, rule semantics, and compilation to chains."""
 
+import json
 from fractions import Fraction
 from time import perf_counter
 
@@ -101,7 +102,7 @@ def test_all_diagnostics_are_collected_at_once(tmp_path, capsys):
         )
     assert len(excinfo.value.problems) >= 2
     # Every field of the wrong shape, each reported.
-    text = '{"animals": "S", "board": 5, "blue": [1.5]}'
+    text = '{"animals": "S", "board": 5, "blue": 1.5}'
     shapes = [ANIMALS_SHAPE, BOARD_SHAPE, BLUE_SHAPE]
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec(text)
@@ -115,7 +116,7 @@ def test_all_diagnostics_are_collected_at_once(tmp_path, capsys):
         ('{"animals": "S", "board": ["0", "S"]}', [ANIMALS_SHAPE]),
         ('{"animals": ["S"], "board": 5}', [BOARD_SHAPE]),
         ('{"animals": ["S"], "board": ["0", "S"], "blue": "2"}', [BLUE_SHAPE]),
-        ('{"animals": ["S"], "board": ["0", "S"], "win_threshold": 1e3}', ["win_threshold: must be an integer"]),
+        ('{"animals": ["S"], "board": ["0", "S"], "win_threshold": 1e3}', ["win_threshold must be an integer, got 1000.0"]),
         ('{"animals": [], "board": ["0", "0"]}', ["animals: at least one tag is required"]),
         ('{"animals": ["*"], "board": ["0", "0"]}', ["animals: '*' is not a usable tag"]),
         ('{"animals": [""], "board": ["0", "0"]}', ["animals: '' is not a usable tag"]),
@@ -135,6 +136,30 @@ def test_all_diagnostics_are_collected_at_once(tmp_path, capsys):
     ],
 )
 def test_unsound_game_documents_are_refused(tmp_path, capsys, text, diagnostics):
+    with pytest.raises(GameSpecError) as excinfo:
+        parse_game_spec(text)
+    assert excinfo.value.problems == diagnostics
+    assert analyze_refusal(tmp_path, capsys, text) == "".join(f"error: {line}\n" for line in diagnostics)
+
+
+# A tag or a label must be a string and a blue square an integer; before, an unhashable one raised
+# TypeError from a set lookup.  A game document breaking the same rule gets the same diagnostic.
+@pytest.mark.parametrize(
+    "change, diagnostics",
+    [
+        ({"animals": ([1], "S")}, ["animals: [1] is not a usable tag"]),
+        ({"animals": (5, "S")}, ["animals: 5 is not a usable tag"]),
+        ({"squares": ("0", ["a"], "S", "*")}, ["square 2: unknown animal tag ['a']"]),
+        ({"blue": ([2],)}, ["blue: every entry must be an integer square number"]),
+    ],
+    ids=["unhashable-tag", "int-tag", "unhashable-label", "unhashable-blue"],
+)
+def test_a_field_of_the_wrong_type_is_a_diagnostic(tmp_path, capsys, change, diagnostics):
+    fields = {"animals": ("S",), "squares": ("0", "0", "S", "*"), "blue": (), "win_threshold": 3, **change}
+    with pytest.raises(GameSpecError) as excinfo:
+        GameSpec(**fields)
+    assert excinfo.value.problems == diagnostics
+    text = json.dumps({"animals": fields["animals"], "board": fields["squares"], "blue": fields["blue"]})
     with pytest.raises(GameSpecError) as excinfo:
         parse_game_spec(text)
     assert excinfo.value.problems == diagnostics

@@ -12,12 +12,11 @@ from capchain import (
     UsageError,
     builtin_game,
     compile_game,
-    mix64,
     run_absorption,
     simulate,
     summarize,
 )
-from capchain.simulator import LANES
+from capchain.simulator import LANES, _lanes, _mix_lanes
 
 from _oracle import SplitMix64, longest_animal_only_path, next_location, play_once
 from _testlib import (
@@ -58,7 +57,7 @@ _MASK = (1 << 64) - 1
 
 
 def unmix64(value):
-    """Inverse of mix64: undo each xorshift and odd multiplier, last step first."""
+    """Inverse of SplitMix64.mix: undo each xorshift and odd multiplier, last step first."""
     value ^= value >> 31
     value ^= value >> 62
     value = (value * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK
@@ -93,12 +92,15 @@ def test_splitmix_reference_vectors():
         3203168211198807973,
         9817491932198370423,
     ]
-    # The package's finalizer gives the same first output as the replay's generator.
-    assert mix64(0x9E3779B97F4A7C15) == 16294208416658607535
+    # The simulator's packed finalizer gives the same first output in every slot.
+    for width in (1, 8):
+        rep, _, m64, _, _, low, _ = _lanes(width)
+        mixed = _mix_lanes(rep * 0x9E3779B97F4A7C15, m64)
+        assert low.unpack(mixed.to_bytes(16 * width, "little")) == (16294208416658607535,) * width
 
 
 def test_mix64_is_a_64_bit_permutation_sample():
-    seen = {mix64(value) for value in range(2000)}
+    seen = {SplitMix64.mix(value) for value in range(2000)}
     assert len(seen) == 2000
     assert all(0 <= value < 1 << 64 for value in seen)
 

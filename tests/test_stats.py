@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capchain import (
+    MAX_DIGITS,
     AbsorptionRecord,
     CappedPolynomial,
     UsageError,
@@ -244,6 +245,16 @@ def test_format_fraction_rejects_nonpositive_digits():
 def test_format_fraction_rejects_non_integer_digits(render, digits):
     with pytest.raises(UsageError, match=r"^digits must be an integer >= 1, got "):
         render(Fraction(1, 3), digits)
+
+
+# The roots are good to MAX_DIGITS + 10 significant digits: at 60 places the full game's chick
+# skewness printed zeros past its 50th digit, not a correctly rounded value.
+@pytest.mark.parametrize("render", [render_stats, stats_json_dict])
+def test_a_report_refuses_more_places_than_its_roots_carry(full_stats_60, render):
+    render(full_stats_60, MAX_DIGITS)
+    with pytest.raises(UsageError, match=rf"^digits {MAX_DIGITS + 1} exceeds the limit of {MAX_DIGITS} places$"):
+        render(full_stats_60, MAX_DIGITS + 1)
+    assert format_fraction(Fraction(1, 3), 60) == "0." + "3" * 60  # an exact value has no such limit
 
 
 def test_scientific_format():

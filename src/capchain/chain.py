@@ -63,8 +63,16 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
     def __new__(
         cls, transient: Iterable[str], absorbing: Iterable[str], edges: Iterable[Edge], support: tuple[int, int]
     ) -> WeightedMarkovChain:
-        edges = tuple(Edge(src, dst, Fraction(prob), weight) for src, dst, prob, weight in edges)
-        self = super().__new__(cls, tuple(transient), tuple(absorbing), edges, tuple(support))
+        exact, unreadable = [], []
+        for index, (src, dst, prob, weight) in enumerate(edges):
+            try:
+                prob = Fraction(prob)
+            except (TypeError, ValueError, ArithmeticError):  # not a number, or "1/0"
+                unreadable.append(f"edge[{index}] {src!r}->{dst!r}: probability {prob!r} is not a number")
+            exact.append(Edge(src, dst, prob, weight))
+        if unreadable:  # `validate` compares probabilities, so these are all it can be told
+            raise InvalidChainError(unreadable)
+        self = super().__new__(cls, tuple(transient), tuple(absorbing), tuple(exact), tuple(support))
         violations = self.validate()
         if violations:
             raise InvalidChainError(violations)

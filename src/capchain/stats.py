@@ -81,6 +81,19 @@ def _to_decimal(value: Fraction) -> Decimal:
     return Decimal(value.numerator) / Decimal(value.denominator)
 
 
+def _skewness(m2: Fraction, m3: Fraction) -> Decimal:
+    """m3 / m2**1.5 to DECIMAL_PRECISION digits past its integer digits, so a large one keeps its places."""
+    digits = 0  # integer digits read off a first pass, plus one for a pass that rounded across a power of ten
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = DECIMAL_PRECISION + digits
+            sigma2 = _to_decimal(m2)
+            skewness = _to_decimal(m3) / (sigma2 * sigma2.sqrt())
+        if digits or not skewness or skewness.adjusted() < 0:  # adjusted(): the leading digit's power of ten
+            return skewness
+        digits = skewness.adjusted() + 2
+
+
 def summarize(record: AbsorptionRecord) -> SummaryStats:
     """Extract all summary statistics, conditioned on absorption.
 
@@ -126,8 +139,7 @@ def summarize(record: AbsorptionRecord) -> SummaryStats:
         ctx.prec = DECIMAL_PRECISION
         skewness = kurtosis_raw = kurtosis_excess = correlation = None
         if m2_c > 0:
-            sigma2 = _to_decimal(m2_c)
-            skewness = _to_decimal(m3_c) / (sigma2 * sigma2.sqrt())
+            skewness = _skewness(m2_c, m3_c)
             kurtosis_raw = m4_c / m2_c**2
             kurtosis_excess = kurtosis_raw - 3
         if m2_c > 0 and m2_r > 0:

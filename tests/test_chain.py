@@ -170,6 +170,15 @@ def test_a_non_integer_edge_weight_is_a_violation(weight):
         two_state_chain(weight=weight)
 
 
+# The constructor makes each probability a Fraction before `validate` reads it;
+# one that is not a number raised ValueError, TypeError or ZeroDivisionError.
+@pytest.mark.parametrize("prob", ["abc", [1], None, "1/0"], ids=["text", "list", "none", "zero-denominator"])
+def test_a_probability_that_is_not_a_number_is_a_violation(prob):
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(["a"], ["z"], [Edge("a", "z", prob, 0)], (0, 1))
+    assert excinfo.value.problems == [f"edge[0] 'a'->'z': probability {prob!r} is not a number"]
+
+
 def test_a_chain_is_immutable_and_hashes_by_value():
     chain = two_state_chain()
     with pytest.raises(AttributeError):

@@ -78,6 +78,12 @@ CASES = {
         "simulate", "--builtin", "full", "--trials", "20000", "--seed", "7",
         "--format", "json",
     ],
+    # The benchmark's game-montecarlo invocation at seed 1: perfbench checks
+    # its output only statistically, so its bytes are pinned here.
+    "simulate-full-60000-json": [
+        "simulate", "--builtin", "full", "--trials", "60000", "--seed", "1",
+        "--format", "json",
+    ],
     # -M 2 caps each play at 20 rounds, which censors some of the trials.
     "simulate-full-censored-json": [
         "simulate", "--builtin", "full", "--trials", "3000", "--seed", "9", "-M", "2",
@@ -213,6 +219,11 @@ GOLDEN = {
         2,
         EMPTY,
         "c3347fa027988d0b8e4eea7e412813ce2e93f36c754cf95b5d5d06dd677f1058",
+    ),
+    "simulate-full-60000-json": (
+        0,
+        "b95f6f93a1d38f133144b4acadbd1ac6c20bf33e4382c71e6dbf7736601da903",
+        EMPTY,
     ),
     "simulate-full-censored-json": (
         0,

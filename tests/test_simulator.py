@@ -16,7 +16,7 @@ from capchain import (
     simulate,
     summarize,
 )
-from capchain.simulator import LANES, _lanes, _mix_lanes
+from capchain.simulator import _PAIR_CELLS, LANES, _lanes, _mix_lanes, _step_table
 
 from _oracle import SplitMix64, longest_animal_only_path, next_location, play_once
 from _testlib import (
@@ -94,7 +94,7 @@ def test_splitmix_reference_vectors():
     ]
     # The simulator's packed finalizer gives the same first output in every slot.
     for width in (1, 8):
-        rep, _, m64, _, _, low, _ = _lanes(width)
+        rep, _, m64, _, _, low = _lanes(width)
         mixed = _mix_lanes(rep * 0x9E3779B97F4A7C15, m64)
         assert low.unpack(mixed.to_bytes(16 * width, "little")) == (16294208416658607535,) * width
 
@@ -293,6 +293,44 @@ def test_every_face_count_plays_as_single_plays(animals):
     spec = GameSpec(animals=tags, squares=squares, blue=(), win_threshold=2 * animals + 1)
     for round_cap in (5, 600):
         assert simulate(spec, 300, 3, round_cap) == fold_single_plays(spec, 300, 3, round_cap)
+
+
+def alternating_board(squares):
+    """Animals a and b by turns after the start: every move gains 1 or 2, and a two-step row has 7 * 7 entries."""
+    labels = ("0",) + tuple("ab"[index % 2] for index in range(squares - 1)) + ("*",)
+    return GameSpec(animals=("a", "b"), squares=labels, blue=(), win_threshold=squares)
+
+
+# A board plays a pass of two steps by one lookup while its rows and its
+# fox-then-gain chick lists fit _PAIR_CELLS cells, and one step a pass
+# past that.  The full board's table has 30 rows of 13 * 13 entries.
+def test_the_table_takes_two_steps_a_pass_while_it_fits():
+    table, _, draws = _step_table(builtin_game("full"))
+    assert (len(table), draws) == (30 * 13 * 13, 2)
+    n = 3000
+    table, _, draws = _step_table(GameSpec(animals=("a",), squares=("a",) * n + ("*",), blue=(), win_threshold=n))
+    assert (len(table), draws) == (n * 5, 1)
+    for squares, fits in ((1284, True), (1285, False)):
+        cells = squares * 7 * 7 + 2 * (squares + 1)  # two gains, a chick list of cap + 1 cells each
+        assert (cells <= _PAIR_CELLS) == fits
+        assert _step_table(alternating_board(squares))[2] == (2 if fits else 1)
+
+
+# Trial 0 of each seed draws 2**64 - 1, which three faces reject, as its
+# third or its fourth draw: the first or the second draw of the second
+# two-step pass, or a one-step pass's only draw, on the boards just inside
+# and just past the size rule.
+@pytest.mark.parametrize("draw", [3, 4])
+@pytest.mark.parametrize("squares", [1284, 1285])
+def test_a_rejection_on_either_side_of_the_table_size_rule_is_redrawn(squares, draw):
+    seed = unmix64((unmix64(_MASK) - draw * 0x9E3779B97F4A7C15) & _MASK)
+    rng = SplitMix64.stream(seed, 0)
+    assert [rng.next_u64() for _ in range(draw)][-1] == _MASK
+    spec = alternating_board(squares)
+    for round_cap in (squares, 4 * squares):  # a cap that censors some plays, and one that censors none
+        report = simulate(spec, 4, seed, round_cap)
+        assert report == fold_single_plays(spec, 4, seed, round_cap)
+        assert (0 < report.censored < 4) == (round_cap == squares)
 
 
 def test_lane_constants_are_built_on_first_use_once_per_width():

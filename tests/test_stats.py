@@ -14,7 +14,9 @@ from capchain import (
     MAX_DIGITS,
     AbsorptionRecord,
     CappedPolynomial,
+    Edge,
     UsageError,
+    WeightedMarkovChain,
     central_moments,
     distribution_moments,
     format_fraction,
@@ -255,6 +257,21 @@ def test_a_report_refuses_more_places_than_its_roots_carry(full_stats_60, render
     with pytest.raises(UsageError, match=rf"^digits {MAX_DIGITS + 1} exceeds the limit of {MAX_DIGITS} places$"):
         render(full_stats_60, MAX_DIGITS + 1)
     assert format_fraction(Fraction(1, 3), 60) == "0." + "3" * 60  # an exact value has no such limit
+
+
+# Capital 1 comes with probability p = 2**-120, so the skewness is
+# (1 - 2p) / sqrt(p (1 - p)), about 2**60: taken at 50 significant digits,
+# its 19 integer digits left 31 places, and 40 printed places were padding.
+def test_a_large_skewness_keeps_its_places():
+    tiny = Fraction(1, 2**60)
+    edges = [Edge("a", "b", tiny, 0), Edge("a", "z1", 1 - tiny, 0), Edge("b", "z2", tiny, 1), Edge("b", "z1", 1 - tiny, 0)]
+    stats = summarize(run_absorption(WeightedMarkovChain(["a", "b"], ["z1", "z2"], edges, (0, 1)), "a", 3))
+    with localcontext() as ctx:
+        ctx.prec = 200
+        p = Decimal(1) / 2**120
+        exact = (1 - 2 * p) / (p * (1 - p)).sqrt()
+    assert stats_json_dict(stats, MAX_DIGITS)["chicks"]["skewness"] == format_fraction(Fraction(exact), MAX_DIGITS)
+    assert format_fraction(Fraction(exact), MAX_DIGITS).startswith("1152921504606846975.99999999999999999869895739301739")
 
 
 def test_scientific_format():

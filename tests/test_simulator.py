@@ -67,6 +67,22 @@ def unmix64(value):
     return value
 
 
+def play_from(monkeypatch, most):
+    """Make simulate build its two-step table up to `most` cells, whatever its trials: 0 for the one-step table."""
+    monkeypatch.setattr(capchain.simulator, "_step_table", lambda spec, _: _step_table(spec, most))
+
+
+def on_both_tables(monkeypatch, spec, trials, seed, round_cap=600):
+    """simulate's report from the one-step table, held equal to the one from the two-step table if it fits."""
+    reports = []
+    for most in (0, _PAIR_CELLS):
+        play_from(monkeypatch, most)
+        reports.append(simulate(spec, trials, seed, round_cap))
+    monkeypatch.setattr(capchain.simulator, "_step_table", _step_table)
+    assert reports[0] == reports[1]
+    return reports[0]
+
+
 def oracle_moves(spec):
     return {
         square: [next_location(spec.squares, square, animal) for animal in spec.animals]
@@ -94,7 +110,7 @@ def test_splitmix_reference_vectors():
     ]
     # The simulator's packed finalizer gives the same first output in every slot.
     for width in (1, 8):
-        rep, _, m64, _, _, low = _lanes(width)
+        rep, _, m64, _, _, low, _ = _lanes(width)
         mixed = _mix_lanes(rep * 0x9E3779B97F4A7C15, m64)
         assert low.unpack(mixed.to_bytes(16 * width, "little")) == (16294208416658607535,) * width
 
@@ -179,7 +195,9 @@ def test_simulate_is_deterministic():
 
 # A round cap of 10 or 11 censors some trials on both boards; of 600, none.
 # simulate draws twice a pass, so at the odd cap a lane can finish in
-# round 12, past the cap, and must count as censored.
+# round 12, past the cap, and must count as censored.  At 1500 trials the
+# simplified board plays from its two-step table (290 cells) and the full
+# board from its one-step table (the two-step one has 5603 cells).
 @pytest.mark.parametrize("round_cap", [600, 10, 11])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
 @pytest.mark.parametrize("name", ["simplified", "full"])
@@ -190,7 +208,7 @@ def test_simulate_equals_a_fold_of_single_plays(name, seed, round_cap):
     assert (report.censored > 0) == (round_cap != 600)
 
 
-def test_a_rejected_draw_advances_the_stream_but_not_the_round():
+def test_a_rejected_draw_advances_the_stream_but_not_the_round(monkeypatch):
     # Pick the seed whose trial 0 first draws 2**64 - 1.  Six faces
     # accept only draws below 2**64 - 4, so that draw is redrawn.
     seed = unmix64((unmix64(_MASK) - 0x9E3779B97F4A7C15) & _MASK)
@@ -202,11 +220,11 @@ def test_a_rejected_draw_advances_the_stream_but_not_the_round():
     assert rng.state == (start + 2 * 0x9E3779B97F4A7C15) & _MASK
     spec = builtin_game("full")
     assert len(spec.animals) + 1 == 6
-    report = simulate(spec, 40, seed)
+    report = on_both_tables(monkeypatch, spec, 40, seed)
     assert report == fold_single_plays(spec, 40, seed, 600)
 
 
-def test_a_rejection_in_a_later_batch_mid_game_is_redrawn():
+def test_a_rejection_in_a_later_batch_mid_game_is_redrawn(monkeypatch):
     # Pick the seed whose trial LANES + 3, in the second batch, draws
     # 2**64 - 1 on its 5th draw, after four rounds that do not finish
     # its game.
@@ -218,11 +236,11 @@ def test_a_rejection_in_a_later_batch_mid_game_is_redrawn():
     assert [rng.next_u64() for _ in range(5)][-1] == _MASK
     spec = builtin_game("full")
     assert play_once(spec, SplitMix64.stream(seed, trial), round_cap=4) is None
-    report = simulate(spec, LANES + 10, seed)
+    report = on_both_tables(monkeypatch, spec, LANES + 10, seed)
     assert report == fold_single_plays(spec, LANES + 10, seed, 600)
 
 
-def test_a_lane_that_finishes_before_a_rejected_second_draw_keeps_its_round():
+def test_a_lane_that_finishes_before_a_rejected_second_draw_keeps_its_round(monkeypatch):
     # Pick the seed whose trial 0 draws 2**64 - 1 second.  Three faces
     # accept only draws below 2**64 - 1, so that draw is redrawn; but the
     # first draw is an animal, which ends the game in one round, so the
@@ -233,16 +251,16 @@ def test_a_lane_that_finishes_before_a_rejected_second_draw_keeps_its_round():
     assert [rng.next_u64() for _ in range(2)][-1] == _MASK
     assert play_once(spec, SplitMix64.stream(seed, 0)) == (1, 1)
     for round_cap in (1, 2, 600):
-        report = simulate(spec, 40, seed, round_cap)
+        report = on_both_tables(monkeypatch, spec, 40, seed, round_cap)
         assert report == fold_single_plays(spec, 40, seed, round_cap)
-        assert simulate(spec, 1, seed, round_cap).rounds_histogram == {1: 1}
+        assert on_both_tables(monkeypatch, spec, 1, seed, round_cap).rounds_histogram == {1: 1}
 
 
 # Trial LANES + 3 of this seed draws 2**64 - 1 on its 4th draw, the second
 # of a pass, after three rounds that do not finish its game; it finishes
 # in 15 rounds, on its 16th draw, so caps of 14 to 16 straddle its end.
 @pytest.mark.parametrize("round_cap", [14, 15, 16, 600])
-def test_a_rejection_on_a_second_draw_mid_game_is_redrawn(round_cap):
+def test_a_rejection_on_a_second_draw_mid_game_is_redrawn(monkeypatch, round_cap):
     golden = 0x9E3779B97F4A7C15
     trial = LANES + 3
     start = (unmix64(_MASK) - 4 * golden) & _MASK
@@ -252,7 +270,7 @@ def test_a_rejection_on_a_second_draw_mid_game_is_redrawn(round_cap):
     spec = builtin_game("full")
     assert play_once(spec, SplitMix64.stream(seed, trial), round_cap=3) is None
     assert play_once(spec, SplitMix64.stream(seed, trial))[0] == 15
-    report = simulate(spec, LANES + 10, seed, round_cap)
+    report = on_both_tables(monkeypatch, spec, LANES + 10, seed, round_cap)
     assert report == fold_single_plays(spec, LANES + 10, seed, round_cap)
 
 
@@ -260,13 +278,14 @@ def test_a_rejection_on_a_second_draw_mid_game_is_redrawn(round_cap):
 # of this seed redraws its first draw, so it finishes one step after its
 # round count r; caps of r - 1, r and r + 1 straddle that step.
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_a_rejection_before_the_round_cap_does_not_count_as_a_round(offset):
+def test_a_rejection_before_the_round_cap_does_not_count_as_a_round(monkeypatch, offset):
     seed = 0xBE12FE39FBD63F3C
     spec = builtin_game("full")
     rounds, _ = play_once(spec, SplitMix64.stream(seed, 0))
     round_cap = rounds + offset
-    assert simulate(spec, LANES + 3, seed, round_cap) == fold_single_plays(spec, LANES + 3, seed, round_cap)
-    assert simulate(spec, 1, seed, round_cap).censored == (round_cap < rounds)
+    report = on_both_tables(monkeypatch, spec, LANES + 3, seed, round_cap)
+    assert report == fold_single_plays(spec, LANES + 3, seed, round_cap)
+    assert on_both_tables(monkeypatch, spec, 1, seed, round_cap).censored == (round_cap < rounds)
 
 
 # From square 3, animal b reaches the blue terminal for 2 + 1 chicks, past
@@ -275,10 +294,10 @@ def test_a_rejection_before_the_round_cap_does_not_count_as_a_round(offset):
 # lies in [2, 4]: a missing floor would leave some below 2, a missing
 # cap some above 4.
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_the_chick_floor_and_cap_hold_at_both_edges(seed):
+def test_the_chick_floor_and_cap_hold_at_both_edges(monkeypatch, seed):
     spec = GameSpec(animals=("a", "b"), squares=("0", "a", "b", "a", "*"), blue={5}, win_threshold=4)
     assert spec.moves[3][1] == (5, 3)
-    report = simulate(spec, 2000, seed)
+    report = on_both_tables(monkeypatch, spec, 2000, seed)
     assert report == fold_single_plays(spec, 2000, seed, 600)
     assert set(report.chick_histogram) == {2, 3, 4}
 
@@ -287,12 +306,12 @@ def test_the_chick_floor_and_cap_hold_at_both_edges(seed):
 # that may fall one short, so a spin can come out as itself plus the face
 # count; boards of 2 to 201 faces must still play every game as play_once.
 @pytest.mark.parametrize("animals", [1, 2, 5, 127, 128, 200])
-def test_every_face_count_plays_as_single_plays(animals):
+def test_every_face_count_plays_as_single_plays(monkeypatch, animals):
     tags = tuple(f"t{index}" for index in range(animals))
     squares = ("0",) + tuple(tags[index % animals] for index in range(2 * animals)) + ("*",)
     spec = GameSpec(animals=tags, squares=squares, blue=(), win_threshold=2 * animals + 1)
     for round_cap in (5, 600):
-        assert simulate(spec, 300, 3, round_cap) == fold_single_plays(spec, 300, 3, round_cap)
+        assert on_both_tables(monkeypatch, spec, 300, 3, round_cap) == fold_single_plays(spec, 300, 3, round_cap)
 
 
 def alternating_board(squares):
@@ -302,27 +321,45 @@ def alternating_board(squares):
 
 
 # A board plays a pass of two steps by one lookup while its rows and its
-# fox-then-gain chick lists fit _PAIR_CELLS cells, and one step a pass
-# past that.  The full board's table has 30 rows of 13 * 13 entries.
+# fox-then-gain chick lists fit _PAIR_CELLS cells, and by two one-step
+# lookups past that.  The full board's table has 30 rows of 13 * 13 entries.
 def test_the_table_takes_two_steps_a_pass_while_it_fits():
-    table, _, draws = _step_table(builtin_game("full"))
-    assert (len(table), draws) == (30 * 13 * 13, 2)
+    table, _, pairs = _step_table(builtin_game("full"), _PAIR_CELLS)
+    assert (len(table), pairs) == (30 * 13 * 13, True)
     n = 3000
-    table, _, draws = _step_table(GameSpec(animals=("a",), squares=("a",) * n + ("*",), blue=(), win_threshold=n))
-    assert (len(table), draws) == (n * 5, 1)
+    spec = GameSpec(animals=("a",), squares=("a",) * n + ("*",), blue=(), win_threshold=n)
+    table, _, pairs = _step_table(spec, _PAIR_CELLS)
+    assert (len(table), pairs) == (n * 5, False)
     for squares, fits in ((1284, True), (1285, False)):
         cells = squares * 7 * 7 + 2 * (squares + 1)  # two gains, a chick list of cap + 1 cells each
         assert (cells <= _PAIR_CELLS) == fits
-        assert _step_table(alternating_board(squares))[2] == (2 if fits else 1)
+        assert _step_table(alternating_board(squares), _PAIR_CELLS)[2] == fits
+
+
+# simulate builds the two-step table only for at least as many trials as
+# it has cells: on the full board, 5070 entries and a chick list of 41
+# cells (cap 40) for each of its 13 gains make 5603.
+def test_the_two_step_table_waits_for_as_many_trials_as_it_has_cells(monkeypatch):
+    taken = []
+
+    def spy(spec, most):
+        made = _step_table(spec, most)
+        taken.append(made[2])
+        return made
+
+    monkeypatch.setattr(capchain.simulator, "_step_table", spy)
+    for trials in (1, 5602, 5603):
+        simulate(builtin_game("full"), trials, 1)
+    assert taken == [False, False, True]
 
 
 # Trial 0 of each seed draws 2**64 - 1, which three faces reject, as its
 # third or its fourth draw: the first or the second draw of the second
-# two-step pass, or a one-step pass's only draw, on the boards just inside
-# and just past the size rule.
+# pass, on the boards just inside and just past the size rule.
 @pytest.mark.parametrize("draw", [3, 4])
 @pytest.mark.parametrize("squares", [1284, 1285])
-def test_a_rejection_on_either_side_of_the_table_size_rule_is_redrawn(squares, draw):
+def test_a_rejection_on_either_side_of_the_table_size_rule_is_redrawn(monkeypatch, squares, draw):
+    play_from(monkeypatch, _PAIR_CELLS)  # four trials play as if they were _PAIR_CELLS: the board decides
     seed = unmix64((unmix64(_MASK) - draw * 0x9E3779B97F4A7C15) & _MASK)
     rng = SplitMix64.stream(seed, 0)
     assert [rng.next_u64() for _ in range(draw)][-1] == _MASK
@@ -368,6 +405,8 @@ def test_the_report_does_not_depend_on_the_batch_width(monkeypatch, name, round_
 
 # LANES - 1 to 2 * LANES + 3 straddle the batch edges; 511 to 1027 straddle
 # slot-width edges inside one batch (and were the batch edges at 512 lanes).
+# Past one trial the simplified board plays from its two-step table and
+# the full board from its one-step table.
 @pytest.mark.parametrize("trials", [1, 511, 512, 513, 1027, LANES - 1, LANES, LANES + 1, 2 * LANES + 3])
 @pytest.mark.parametrize("name", ["simplified", "full"])
 def test_batch_edges_equal_a_fold_of_single_plays(name, trials):
@@ -405,6 +444,26 @@ def test_simulate_memory_grows_with_the_board_not_with_board_times_cap():
         tracemalloc.stop()
     assert peak < 1000 * n
     assert report.censored == 0
+    assert report == fold_single_plays(spec, 2, 1, 4 * n)
+
+
+# The two-step table of a 1284-square board just inside _PAIR_CELLS: a
+# pointer a cell, and one shared (next row, offset) pair per first and
+# second move of a square, about 41 bytes a cell in all.  A table with a
+# pair of its own in every cell takes about 77.
+def test_the_two_step_table_memory_stays_within_its_cell_budget(monkeypatch):
+    play_from(monkeypatch, _PAIR_CELLS)
+    n = 1284
+    spec = alternating_board(n)
+    spec.moves
+    assert _step_table(spec, _PAIR_CELLS)[2]
+    tracemalloc.start()
+    try:
+        report = simulate(spec, 2, seed=1, round_cap=4 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * _PAIR_CELLS
     assert report == fold_single_plays(spec, 2, 1, 4 * n)
 
 

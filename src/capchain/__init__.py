@@ -45,6 +45,13 @@ MAX_DENOMINATOR_BITS = 64
 # in 1.5 s at 112 MB.  The sum only grows with the rounds, so `run_absorption` stops a run as
 # soon as it passes the limit.
 MAX_RECORD_BITS = 100_000_000
+# A chain's weights and window bounds are 64-bit signed integers, so every chain the
+# constructor accepts prints, and `dumps_chain` and `loads_chain` round-trip it.
+MAX_INTEGER = (1 << 63) - 1
+# Most squares x animals of a game board, checked before `GameSpec.moves` builds a move per
+# pair.  At the limit on a 2-core machine `analyze` (M = 60) stays within 5.6 s and 78 MB, and
+# `simulate --trials 60000` within 5.3 s and 38 MB, on every board shape tried (CHANGES.md).
+MAX_MOVES = 1 << 17
 # Most decimal places a report may ask for: `capchain.stats` takes its square roots
 # 10 digits further.
 MAX_DIGITS = 40

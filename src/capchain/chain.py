@@ -23,10 +23,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple, Union
 
 from . import (  # re-exported: these have always been importable from here
     MAX_DENOMINATOR_BITS,
+    MAX_INTEGER,
     MAX_RECORD_BITS,
     MAX_ROUNDS,
     MAX_WINDOW,
@@ -65,10 +66,16 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
     ) -> WeightedMarkovChain:
         exact, unreadable = [], []
         for index, (src, dst, prob, weight) in enumerate(edges):
-            try:
-                prob = Fraction(prob)
-            except (TypeError, ValueError, ArithmeticError):  # not a number, or "1/0"
-                unreadable.append(f"edge[{index}] {src!r}->{dst!r}: probability {prob!r} is not a number")
+            problem = None
+            if isinstance(prob, str) and ("e" in prob or "E" in prob):  # Fraction("1e-9999999") builds 10**9999999
+                problem = 'probability text may not contain "e" or "E" (exponent notation)'
+            else:
+                try:
+                    prob = Fraction(prob)
+                except (TypeError, ValueError, ArithmeticError):  # not a number, or "1/0"
+                    problem = f"probability {prob!r} is not a number"
+            if problem:
+                unreadable.append(f"edge[{index}] {src!r}->{dst!r}: {problem}")
             exact.append(Edge(src, dst, prob, weight))
         if unreadable:  # `validate` compares probabilities, so these are all it can be told
             raise InvalidChainError(unreadable)
@@ -120,6 +127,8 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
         lo, hi = self.support
         if not (is_int(lo) and is_int(hi)):
             violations.append(f"capital support ({lo!r}, {hi!r}) must be two integers")
+        elif max(abs(lo), abs(hi)) > MAX_INTEGER:  # not printed: str() of an int past 4300 digits raises
+            violations.append(f"a capital support bound lies outside ±{MAX_INTEGER}")
         elif lo > hi:
             violations.append(f"inverted capital support [{lo}, {hi}]")
         elif hi - lo + 1 > MAX_WINDOW:
@@ -144,6 +153,8 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 totals.pop(edge.src, None)
             if not is_int(edge.weight):
                 violations.append(f"{label}: weight {edge.weight!r} is not an integer")
+            elif abs(edge.weight) > MAX_INTEGER:
+                violations.append(f"{label}: weight lies outside ±{MAX_INTEGER}")
             if edge.src in self.absorbing_set:
                 violations.append(
                     f"{label}: absorbing state {edge.src!r} has an outgoing edge"
@@ -290,23 +301,13 @@ def dumps_chain(chain: WeightedMarkovChain) -> str:
     return json.dumps(chain_to_json_dict(chain), indent=2) + "\n"
 
 
-def _parse_prob(value: object, where: str) -> Fraction:
-    # Floats are refused on purpose: a chain file is an exact artifact.
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ChainFormatError(
-            f"{where}: probability must be an exact \"p/q\" string or integer, "
-            f"got {value!r}"
-        )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if "e" in value or "E" in value:  # Fraction("1e-9999999") builds 10**9999999 before any check
-            raise ChainFormatError(f'{where}: probability text may not contain "e" or "E" (exponent notation)')
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ChainFormatError(f"{where}: {exc}") from None
-    raise ChainFormatError(f"{where}: probability has unsupported type {type(value).__name__}")
+def _parse_prob(value: object, where: str) -> Union[int, str]:
+    """A document's probability, an int or a "p/q" string, for the constructor to read."""
+    if isinstance(value, (bool, float)):  # refused on purpose: a chain file is an exact artifact
+        raise ChainFormatError(f'{where}: probability must be an exact "p/q" string or integer, got {value!r}')
+    if not isinstance(value, (int, str)):
+        raise ChainFormatError(f"{where}: probability has unsupported type {type(value).__name__}")
+    return value
 
 
 def chain_from_json_dict(data: object) -> WeightedMarkovChain:
@@ -314,9 +315,10 @@ def chain_from_json_dict(data: object) -> WeightedMarkovChain:
 
     This checks only the JSON shape: an object with the four keys, lists
     of states and edges, a support object with 'min' and 'max', each edge
-    an object with its four keys and an exact probability.  It raises
-    ChainFormatError on the first shape problem, before any chain is built.
-    The constructor owns every field rule (string state ids, integer
+    an object with its four keys and a probability that is an int or a
+    string, never a float.  It raises ChainFormatError on the first shape
+    problem, before any chain is built.  The constructor owns every field
+    rule (reading each probability, string state ids, 64-bit integer
     weights and support bounds, ...) and raises InvalidChainError with
     every broken one.  Unknown keys (for example an advisory "start") are
     ignored.

@@ -261,26 +261,10 @@ def cmd_compare(config: argparse.Namespace) -> int:
     with _unlimited_int_text():
         epsilon = _cli.epsilon_pair(stats.epsilon, config.digits)
     if config.format == "json":
-        payload = {
-            "trials": report.trials,
-            "seed": report.seed,
-            "round_cap": report.round_cap,
-            "censored": report.censored,
-            "epsilon": epsilon,
-            "statistics": [
-                {
-                    "name": row.name,
-                    "exact": row.exact,
-                    "empirical": row.empirical,
-                    "stderr": row.stderr,
-                    "z": row.z,
-                    "pass": row.passed,
-                }
-                for row in rows
-            ],
-            "pass": all_pass,
-        }
-        _emit(payload, config)
+        header = {key: getattr(report, key) for key in ("trials", "seed", "round_cap", "censored")}
+        # A row's fields in order, `passed` written as "pass".
+        statistics = [dict(zip(("name", "exact", "empirical", "stderr", "z", "pass"), row)) for row in rows]
+        _emit({**header, "epsilon": epsilon, "statistics": statistics, "pass": all_pass}, config)
     else:
         header = f"{'statistic':<16} {'exact':>14} {'empirical':>14} {'stderr':>12} {'z':>7}  result"
         lines = [header]

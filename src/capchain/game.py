@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from . import GameSpecError, UsageError, decode_json, is_int
+from . import MAX_MOVES, GameSpecError, UsageError, decode_json, is_int
 
 if TYPE_CHECKING:  # only `compile_game` loads the engine
     from .chain import WeightedMarkovChain
@@ -109,6 +109,11 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
                 )
             elif not isinstance(label, str) or (label != EMPTY and label not in seen):
                 diagnostics.append(f"square {position}: unknown animal tag {label!r}")
+        if len(self.squares) * len(self.animals) > MAX_MOVES:  # checked before `moves` builds a move per pair
+            diagnostics.append(
+                f"board of {len(self.squares)} squares x {len(self.animals)} animals exceeds the "
+                f"limit of {MAX_MOVES} square-animal pairs"
+            )
         if len(self.squares) >= 2 and len(self.squares) != self.win_threshold + 1:  # else reported above
             diagnostics.append(
                 f"wrong square count: board has {len(self.squares)} squares, "

@@ -172,9 +172,9 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     table (the second spins in the slots' high halves).  A lane's rounds
     are the batch's steps less its redraws (a rejected second draw counts
     only if the first step left the lane live); a finished lane is tallied
-    as rounds * (cap + 1) + chicks, and one that finished in round
-    round_cap + 1 counts as censored.  At half the slots live or fewer,
-    lanes repack into the next power of two slots.
+    as rounds * (cap + 1) + chicks, and one that finished past round_cap
+    counts as censored, so a cap below one censors every trial.  At half
+    the slots live or fewer, lanes repack into the next power of two slots.
     """
     if not (is_int(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
@@ -187,8 +187,8 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     size, noop, magic = 2 * faces + 1, 2 * faces, (_MASK + 1) // faces
     limit = faces * magic  # the largest multiple of faces within 2**64: draws at or above it are redrawn
     outcomes: Counter[int] = Counter()  # rounds * (cap + 1) + chicks: finished lanes
-    censored = 0 if round_cap > 0 else trials  # a cap below one spin censors every trial
-    for first in range(0, trials if round_cap > 0 else 0, LANES):
+    censored = 0
+    for first in range(0, trials, LANES):
         live = list(range(min(LANES, trials - first)))
         rows, held, redraws = ([0] * len(live) for _ in range(3))  # per lane: row, chicks, redraws
         width = 1 << (len(live) - 1).bit_length()

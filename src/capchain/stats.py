@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import MAX_DIGITS, UsageError, format_rows, is_int
@@ -164,10 +164,20 @@ def summarize(record: AbsorptionRecord) -> SummaryStats:
     )
 
 
-def format_fraction(value: Fraction, digits: int) -> str:
-    """Correctly rounded fixed-point string with `digits` places (ties to even)."""
+def _check_digits(digits: int, most: float = inf) -> None:
+    """Refuse a place count that is not an int of at least 1, or is over `most`.
+
+    A report passes MAX_DIGITS: its roots carry DECIMAL_PRECISION digits.
+    """
     if not (is_int(digits) and digits >= 1):
         raise UsageError(f"digits must be an integer >= 1, got {digits!r}")
+    if digits > most:
+        raise UsageError(f"digits {digits} exceeds the limit of {most} places")
+
+
+def format_fraction(value: Fraction, digits: int) -> str:
+    """Correctly rounded fixed-point string with `digits` places (ties to even)."""
+    _check_digits(digits)
     negative = value < 0
     scaled = abs(value) * 10**digits
     units, remainder = divmod(scaled.numerator, scaled.denominator)
@@ -181,8 +191,7 @@ def format_fraction(value: Fraction, digits: int) -> str:
 
 def format_fraction_scientific(value: Fraction, digits: int) -> str:
     """Scientific-notation string with `digits` significant digits."""
-    if not (is_int(digits) and digits >= 1):
-        raise UsageError(f"digits must be an integer >= 1, got {digits!r}")
+    _check_digits(digits)
     if value == 0:
         return "0"
     with localcontext() as ctx:
@@ -190,7 +199,9 @@ def format_fraction_scientific(value: Fraction, digits: int) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-_UNDEFINED = "undefined (zero variance)"
+def _fixed(value: Union[Fraction, Decimal, None], digits: int, undefined: Optional[str] = None) -> Optional[str]:
+    """A statistic to `digits` places, or `undefined` for one that is None."""
+    return undefined if value is None else format_fraction(Fraction(value), digits)
 
 
 def _decimal_pair(value: Fraction, digits: int) -> dict:
@@ -202,33 +213,23 @@ def epsilon_pair(epsilon: Fraction, digits: int) -> dict:
     return {"decimal": format_fraction_scientific(epsilon, digits), "fraction": str(epsilon)}
 
 
-def _check_report_digits(digits: int) -> None:
-    """A report's roots carry DECIMAL_PRECISION digits, so it rounds to at most MAX_DIGITS places."""
-    if is_int(digits) and digits > MAX_DIGITS:
-        raise UsageError(f"digits {digits} exceeds the limit of {MAX_DIGITS} places")
-
-
 def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
     """Plain-dict report; rationals carry both a decimal and an exact fraction form."""
-    _check_report_digits(digits)
-
-    def optional(value: Union[Fraction, Decimal, None]) -> Optional[str]:
-        return None if value is None else format_fraction(Fraction(value), digits)
-
+    _check_digits(digits, MAX_DIGITS)
     return {
         "win_probability": _decimal_pair(stats.win_probability, digits),
         "chicks": {
             "mean": _decimal_pair(stats.chick_mean, digits),
             "variance": _decimal_pair(stats.chick_variance, digits),
-            "skewness": optional(stats.chick_skewness),
-            "kurtosis_raw": optional(stats.chick_kurtosis_raw),
-            "kurtosis_excess": optional(stats.chick_kurtosis_excess),
+            "skewness": _fixed(stats.chick_skewness, digits),
+            "kurtosis_raw": _fixed(stats.chick_kurtosis_raw, digits),
+            "kurtosis_excess": _fixed(stats.chick_kurtosis_excess, digits),
         },
         "rounds": {
             "mean": _decimal_pair(stats.rounds_mean, digits),
             "variance": _decimal_pair(stats.rounds_variance, digits),
         },
-        "correlation": optional(stats.correlation),
+        "correlation": _fixed(stats.correlation, digits),
         "epsilon": epsilon_pair(stats.epsilon, digits),
         "M": stats.rounds_run,
     }
@@ -236,24 +237,21 @@ def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
 
 def render_stats(stats: SummaryStats, digits: int = 13) -> str:
     """Render a report as aligned text; `stats_json_dict` is the JSON form."""
-    _check_report_digits(digits)
-
-    def fixed(value: Union[Fraction, Decimal, None]) -> str:
-        return _UNDEFINED if value is None else format_fraction(Fraction(value), digits)
-
+    _check_digits(digits, MAX_DIGITS)
+    undefined = "undefined (zero variance)"
     rows = [
         ("horizon M", stats.rounds_run),
         ("win capital", stats.win_capital),
-        ("win probability", fixed(stats.win_probability)),
-        ("chick mean", fixed(stats.chick_mean)),
-        ("chick variance", fixed(stats.chick_variance)),
-        ("chick skewness", fixed(stats.chick_skewness)),
-        ("chick kurtosis (raw)", fixed(stats.chick_kurtosis_raw)),
-        ("chick kurtosis (excess)", fixed(stats.chick_kurtosis_excess)),
-        ("rounds mean", fixed(stats.rounds_mean)),
-        ("rounds variance", fixed(stats.rounds_variance)),
-        ("covariance", fixed(stats.covariance)),
-        ("correlation", fixed(stats.correlation)),
+        ("win probability", _fixed(stats.win_probability, digits)),
+        ("chick mean", _fixed(stats.chick_mean, digits)),
+        ("chick variance", _fixed(stats.chick_variance, digits)),
+        ("chick skewness", _fixed(stats.chick_skewness, digits, undefined)),
+        ("chick kurtosis (raw)", _fixed(stats.chick_kurtosis_raw, digits, undefined)),
+        ("chick kurtosis (excess)", _fixed(stats.chick_kurtosis_excess, digits, undefined)),
+        ("rounds mean", _fixed(stats.rounds_mean, digits)),
+        ("rounds variance", _fixed(stats.rounds_variance, digits)),
+        ("covariance", _fixed(stats.covariance, digits)),
+        ("correlation", _fixed(stats.correlation, digits, undefined)),
         ("epsilon", format_fraction_scientific(stats.epsilon, digits)),
     ]
     return format_rows(rows)

@@ -49,6 +49,9 @@ CHAIN_DOCUMENT = {
 }
 
 
+EXPONENT_REFUSAL = 'probability text may not contain "e" or "E" (exponent notation)'
+
+
 def mono(exponent, coeff, lo=0, hi=8):
     return CappedPolynomial.monomial(exponent, coeff, lo, hi)
 
@@ -177,6 +180,44 @@ def test_a_probability_that_is_not_a_number_is_a_violation(prob):
     with pytest.raises(InvalidChainError) as excinfo:
         WeightedMarkovChain(["a"], ["z"], [Edge("a", "z", prob, 0)], (0, 1))
     assert excinfo.value.problems == [f"edge[0] 'a'->'z': probability {prob!r} is not a number"]
+
+
+# Fraction("1e-5") reads, but Fraction("1e-10000000") would build 10**10000000
+# first, so the constructor refuses exponent text before reading it; the
+# decoder passes a string on, and the constructor labels it with its edge.
+def test_a_probability_in_exponent_notation_is_a_violation():
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(["a"], ["z"], [Edge("a", "z", "1e-5", 0)], (0, 1))
+    assert excinfo.value.problems == [f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}"]
+    edges = [Edge("a", "z", "5E-1", 0), Edge("a", "z", "1/2", 0), Edge("a", "z", "1e-10000000", 0)]
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(["a"], ["z"], edges, (0, 1))
+    assert excinfo.value.problems == [f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}", f"edge[2] 'a'->'z': {EXPONENT_REFUSAL}"]
+    document = {**CHAIN_DOCUMENT, "edges": [{**CHAIN_DOCUMENT["edges"][0], "prob": "1e-5"}]}
+    with pytest.raises(InvalidChainError) as excinfo:
+        loads_chain(json.dumps(document))
+    assert excinfo.value.problems == [f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}"]
+
+
+# A weight or window bound past 64 bits was accepted, and then `dumps_chain`
+# raised ValueError from str() of an int past 4300 digits; the refusal never
+# prints the value.
+@pytest.mark.parametrize("big", [10**5000, -(10**5000), 2**63, -(2**63)], ids=["huge", "-huge", "2^63", "-2^63"])
+def test_an_integer_past_64_bits_is_a_violation(big):
+    with pytest.raises(InvalidChainError) as excinfo:
+        two_state_chain(weight=big)
+    assert excinfo.value.problems == [f"edge[0] 't0'->'a0': weight lies outside ±{2**63 - 1}"]
+    for support in ((0, big), (big, 0), (big, big)):
+        with pytest.raises(InvalidChainError) as excinfo:
+            two_state_chain(support=support)
+        assert excinfo.value.problems == [f"a capital support bound lies outside ±{2**63 - 1}"]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_largest_64_bit_integers_survive_the_json_document(sign):
+    most = sign * (2**63 - 1)
+    for chain in (two_state_chain(weight=most), two_state_chain(support=(most, most))):
+        assert loads_chain(dumps_chain(chain)) == chain
 
 
 def test_a_chain_is_immutable_and_hashes_by_value():
@@ -443,7 +484,7 @@ def test_missing_fields_are_refused(tmp_path, capsys):
     assert analyze_refusal(tmp_path, capsys, text) == "error: edges[0]: missing 'weight'\n"
 
 
-# The decoder checks the shape; the constructor owns every field rule (absorbing, src, weight).
+# The decoder checks the shape; the constructor owns every field rule (absorbing, src, weight, prob).
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -454,11 +495,11 @@ def test_missing_fields_are_refused(tmp_path, capsys):
         ({"edges": ["a"]}, "edges[0]: must be an object"),
         ({"src": 1}, "state id 1 is not a string"),
         ({"weight": "1"}, "edge[0] 'a'->'z': weight '1' is not an integer"),
-        ({"prob": "1/0"}, "edges[0].prob: Fraction(1, 0)"),
+        ({"prob": "1/0"}, "edge[0] 'a'->'z': probability '1/0' is not a number"),
         ({"prob": [1]}, "edges[0].prob: probability has unsupported type list"),
-        # Refused before `Fraction` builds the power of ten, and not echoed.
-        ({"prob": "1e-1000000"}, 'edges[0].prob: probability text may not contain "e" or "E" (exponent notation)'),
-        ({"prob": "1E5"}, 'edges[0].prob: probability text may not contain "e" or "E" (exponent notation)'),
+        # Refused by the constructor before `Fraction` builds the power of ten, and not echoed.
+        ({"prob": "1e-1000000"}, f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}"),
+        ({"prob": "1E5"}, f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}"),
     ],
     ids=[
         "transient", "absorbing", "support", "edges", "edge", "src", "weight", "prob-text", "prob-type",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from capchain import (
+    MAX_MOVES,
     ChainFormatError,
     Edge,
     GameSpecError,
@@ -267,6 +268,30 @@ def test_capital_window_over_the_limit_is_a_usage_error(tmp_path, capsys, doc):
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert (code, out) == (EXIT_USAGE, "")
     assert f"error: capital window [0, {MAX_WINDOW}] exceeds the {MAX_WINDOW}-cell limit" in err
+
+
+# 3000 animals on 3001 playable squares, a 52 KB document: `GameSpec.moves`
+# held 9,003,000 moves (865 MB) and `compile_game` made 4.5 million edges.
+# Each command refuses the board before it builds either, in a child with
+# 1.5 GB of address space, so code without the limit fails here instead of
+# exhausting memory; ru_maxrss is in KB.
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--trials", "10"], ["compare", "--trials", "10"], ["dump-chain"]])
+def test_a_board_past_the_move_limit_is_a_usage_error(tmp_path, argv):
+    tags = [f"t{index}" for index in range(3000)]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"animals": tags, "board": ["0", *tags]}))
+    measured = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+        "from capchain.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_python(measured, *argv, str(path), timeout=60)
+    refusal = f"error: board of 3002 squares x 3000 animals exceeds the limit of {MAX_MOVES} square-animal pairs\n"
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, refusal)
+    assert int(proc.stdout) < 64 * 1024
 
 
 def leaky_chain(denominator):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from capchain import (
+    MAX_MOVES,
     Edge,
     GameSpec,
     GameSpecError,
@@ -87,6 +88,19 @@ def test_wrong_square_count_diagnostic():
             '{"animals": ["S"], "board": ["0", "S"], "win_threshold": 7}'
         )
     assert any("wrong square count" in d for d in excinfo.value.problems)
+
+
+# squares x animals bounds the move table, checked before `moves` builds it:
+# 2 animals on 65536 squares (terminal included) sit at the limit.
+def test_a_board_past_the_move_limit_is_refused():
+    board = ("0",) + ("a", "b") * (MAX_MOVES // 4 - 1) + ("*",)
+    spec = GameSpec(animals=("a", "b"), squares=board, blue=(), win_threshold=len(board) - 1)
+    assert len(spec.squares) * len(spec.animals) == MAX_MOVES
+    with pytest.raises(GameSpecError) as excinfo:
+        spec._replace(squares=("0",) + board, win_threshold=len(board))
+    assert excinfo.value.problems == [
+        f"board of {len(board) + 1} squares x 2 animals exceeds the limit of {MAX_MOVES} square-animal pairs"
+    ]
 
 
 # parse_game_spec's refusals of a field of the wrong shape.

@@ -208,6 +208,18 @@ def test_simulate_equals_a_fold_of_single_plays(name, seed, round_cap):
     assert (report.censored > 0) == (round_cap != 600)
 
 
+# A cap below one spin censors every trial: the first pass plays, and each
+# lane it finishes or leaves live has played more rounds than the cap.
+@pytest.mark.parametrize("trials", [1, LANES + 2])
+@pytest.mark.parametrize("round_cap", [0, -3])
+@pytest.mark.parametrize("name", ["simplified", "full"])
+def test_a_round_cap_below_one_censors_every_trial(monkeypatch, name, round_cap, trials):
+    spec = builtin_game(name)
+    report = on_both_tables(monkeypatch, spec, trials, 5, round_cap)
+    assert report == fold_single_plays(spec, trials, 5, round_cap)
+    assert (report.censored, report.chick_histogram, report.chick_mean) == (trials, {}, None)
+
+
 def test_a_rejected_draw_advances_the_stream_but_not_the_round(monkeypatch):
     # Pick the seed whose trial 0 first draws 2**64 - 1.  Six faces
     # accept only draws below 2**64 - 4, so that draw is redrawn.

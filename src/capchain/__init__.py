@@ -16,9 +16,9 @@ is read, so `import capchain` loads no submodule and a caller pays only
 for the layers it uses: `capchain.builtin_game` loads the game module
 alone, `capchain.run_absorption` the engine.  What every layer shares
 and none owns lives here: the input limits, the usage errors, `is_int`,
-`decode_json` and `format_rows`.  So the command line can check a
-horizon, catch an input error or print a report's rows without loading
-the exact engine.
+`shown`, `check_digits`, `decode_json` and `format_rows`.  So the command
+line can check a horizon or a place count, catch an input error or print
+a report's rows without loading the exact engine.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ MAX_INTEGER = (1 << 63) - 1
 # pair.  At the limit on a 2-core machine `analyze` (M = 60) stays within 5.6 s and 78 MB, and
 # `simulate --trials 60000` within 5.3 s and 38 MB, on every board shape tried (CHANGES.md).
 MAX_MOVES = 1 << 17
-# Most decimal places a report may ask for: `capchain.stats` takes its square roots
-# 10 digits further.
+# Most decimal places a report may ask for (`check_digits`): `capchain.stats` takes its
+# square roots 10 digits further.
 MAX_DIGITS = 40
 
 
@@ -84,6 +84,22 @@ class GameSpecError(UsageError):
 def is_int(value: object) -> bool:
     """An `int` and not a `bool`: what every integer field of a chain or a game must be."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def shown(value: object) -> str:
+    """`repr(value)` for a refusal message; where repr fails (an int past the digit limit), its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def check_digits(digits: object, most: float = MAX_DIGITS) -> None:
+    """Refuse a place count that is not an int of at least 1, or is over `most`: a report's MAX_DIGITS by default."""
+    if not (is_int(digits) and digits >= 1):
+        raise UsageError(f"digits must be an integer >= 1, got {shown(digits)}")
+    if digits > most:
+        raise UsageError(f"digits {shown(digits)} exceeds the limit of {most} places")
 
 
 def decode_json(text: str, error: type[UsageError] = UsageError, where: str = "") -> object:

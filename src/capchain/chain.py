@@ -37,6 +37,7 @@ from . import (  # re-exported: these have always been importable from here
     UsageError,
     decode_json,
     is_int,
+    shown,
 )
 
 if TYPE_CHECKING:  # only a run loads `capchain.poly`: see `umbra_step` and `run_absorption`
@@ -73,9 +74,9 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 try:
                     prob = Fraction(prob)
                 except (TypeError, ValueError, ArithmeticError):  # not a number, or "1/0"
-                    problem = f"probability {prob!r} is not a number"
+                    problem = f"probability {shown(prob)} is not a number"
             if problem:
-                unreadable.append(f"edge[{index}] {src!r}->{dst!r}: {problem}")
+                unreadable.append(f"edge[{index}] {shown(src)}->{shown(dst)}: {problem}")
             exact.append(Edge(src, dst, prob, weight))
         if unreadable:  # `validate` compares probabilities, so these are all it can be told
             raise InvalidChainError(unreadable)
@@ -115,7 +116,7 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
     def validate(self) -> list[str]:
         """Return human-readable invariant violations, empty when the chain is sound."""
         ids = (*self.transient, *self.absorbing, *(end for edge in self.edges for end in edge[:2]))
-        strange = dict.fromkeys(repr(state) for state in ids if not isinstance(state, str))
+        strange = dict.fromkeys(shown(state) for state in ids if not isinstance(state, str))
         if strange:  # the checks below look ids up in sets
             return [f"state id {text} is not a string" for text in strange]
         violations: list[str] = []
@@ -126,8 +127,8 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
             seen.add(state)
         lo, hi = self.support
         if not (is_int(lo) and is_int(hi)):
-            violations.append(f"capital support ({lo!r}, {hi!r}) must be two integers")
-        elif max(abs(lo), abs(hi)) > MAX_INTEGER:  # not printed: str() of an int past 4300 digits raises
+            violations.append(f"capital support ({shown(lo)}, {shown(hi)}) must be two integers")
+        elif max(abs(lo), abs(hi)) > MAX_INTEGER:
             violations.append(f"a capital support bound lies outside ±{MAX_INTEGER}")
         elif lo > hi:
             violations.append(f"inverted capital support [{lo}, {hi}]")
@@ -147,12 +148,12 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
             if not 0 < edge.prob <= 1:
                 # Never summed, and printed only when short: an input number can be too long to print.
                 short = max(abs(edge.prob.numerator), edge.prob.denominator).bit_length() <= MAX_DENOMINATOR_BITS
-                shown = f"probability {edge.prob}" if short else "probability"
+                named = f"probability {edge.prob}" if short else "probability"
                 problem = "is not positive" if edge.prob <= 0 else "exceeds 1"
-                violations.append(f"{label}: {shown} {problem}")
+                violations.append(f"{label}: {named} {problem}")
                 totals.pop(edge.src, None)
             if not is_int(edge.weight):
-                violations.append(f"{label}: weight {edge.weight!r} is not an integer")
+                violations.append(f"{label}: weight {shown(edge.weight)} is not an integer")
             elif abs(edge.weight) > MAX_INTEGER:
                 violations.append(f"{label}: weight lies outside ±{MAX_INTEGER}")
             if edge.src in self.absorbing_set:
@@ -256,9 +257,9 @@ def run_absorption(
     only grows, so the run stops at the first round that passes it.
     """
     if not (is_int(rounds) and 1 <= rounds <= MAX_ROUNDS):
-        raise UsageError(f"horizon must be an integer between 1 and {MAX_ROUNDS}, got {rounds!r}")
+        raise UsageError(f"horizon must be an integer between 1 and {MAX_ROUNDS}, got {shown(rounds)}")
     if not isinstance(start, str) or start not in chain.transient_set:
-        raise UsageError(f"start state {start!r} is not a transient state of the chain")
+        raise UsageError(f"start state {shown(start)} is not a transient state of the chain")
     from .poly import CappedPolynomial
 
     lo, hi = chain.support

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, MAX_RECORD_BITS, MAX_ROUNDS, UsageError, decode_json, format_rows
+from . import MAX_RECORD_BITS, MAX_ROUNDS, UsageError, check_digits, decode_json, format_rows
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -371,8 +371,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # dump-chain takes no -M, and simulate and dump-chain no --digits.
         if getattr(config, "rounds", 0) > MAX_ROUNDS:
             raise UsageError(f"horizon {config.rounds} exceeds the limit of {MAX_ROUNDS} rounds")
-        if getattr(config, "digits", 0) > MAX_DIGITS:
-            raise UsageError(f"--digits {config.digits} exceeds the limit of {MAX_DIGITS} places")
+        if hasattr(config, "digits"):
+            check_digits(config.digits)
         return _COMMANDS[config.command](config)
     except UsageError as exc:
         for line in exc.problems:

@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-from . import MAX_MOVES, GameSpecError, UsageError, decode_json, is_int
+from . import MAX_MOVES, GameSpecError, UsageError, decode_json, is_int, shown
 
 if TYPE_CHECKING:  # only `compile_game` loads the engine
     from .chain import WeightedMarkovChain
@@ -89,15 +89,15 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
         seen: set[str] = set()
         for tag in self.animals:
             if not isinstance(tag, str) or not tag or tag in _RESERVED_TAGS:
-                diagnostics.append(f"animals: {tag!r} is not a usable tag")
+                diagnostics.append(f"animals: {shown(tag)} is not a usable tag")
             elif tag in seen:
                 diagnostics.append(f"animals: duplicate tag {tag!r}")
             if isinstance(tag, str):
                 seen.add(tag)
         if not is_int(self.win_threshold):  # the checks below count with it
-            return diagnostics + [f"win_threshold must be an integer, got {self.win_threshold!r}"]
+            return diagnostics + [f"win_threshold must be an integer, got {shown(self.win_threshold)}"]
         if self.win_threshold < 1:
-            diagnostics.append(f"win_threshold must be >= 1, got {self.win_threshold}")
+            diagnostics.append(f"win_threshold must be >= 1, got {shown(self.win_threshold)}")
         if len(self.squares) < 2:
             diagnostics.append("board must have at least a start and a terminal square")
         if self.squares and self.squares[-1] != TERMINAL:
@@ -108,7 +108,7 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
                     f"square {position}: terminal marker before the last square"
                 )
             elif not isinstance(label, str) or (label != EMPTY and label not in seen):
-                diagnostics.append(f"square {position}: unknown animal tag {label!r}")
+                diagnostics.append(f"square {position}: unknown animal tag {shown(label)}")
         if len(self.squares) * len(self.animals) > MAX_MOVES:  # checked before `moves` builds a move per pair
             diagnostics.append(
                 f"board of {len(self.squares)} squares x {len(self.animals)} animals exceeds the "
@@ -117,13 +117,13 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
         if len(self.squares) >= 2 and len(self.squares) != self.win_threshold + 1:  # else reported above
             diagnostics.append(
                 f"wrong square count: board has {len(self.squares)} squares, "
-                f"win_threshold {self.win_threshold} needs {self.win_threshold + 1}"
+                f"win_threshold {shown(self.win_threshold)} needs {shown(self.win_threshold + 1)}"
             )
         upper = self.win_threshold + 1
         for square in sorted(square for square in self.blue if is_int(square)):
             if not 2 <= square <= upper:
-                diagnostics.append(f"blue square {square} is outside 2..{upper}")
-        diagnostics += sorted(f"blue square {b!r} is not an integer" for b in self.blue if not is_int(b))
+                diagnostics.append(f"blue square {shown(square)} is outside 2..{shown(upper)}")
+        diagnostics += sorted(f"blue square {shown(b)} is not an integer" for b in self.blue if not is_int(b))
         return diagnostics
 
     def chick_gain(self, src: int, dst: int) -> int:
@@ -201,7 +201,7 @@ def builtin_game(name: str) -> GameSpec:
         text = _BUILTIN_GAMES[name]
     except KeyError:
         raise UsageError(
-            f"unknown builtin game {name!r}; expected one of {sorted(_BUILTIN_GAMES)}"
+            f"unknown builtin game {shown(name)}; expected one of {sorted(_BUILTIN_GAMES)}"
         ) from None
     return parse_game_spec(text)
 

@@ -26,7 +26,7 @@ from functools import cache
 from math import sqrt
 from typing import NamedTuple, Optional
 
-from . import UsageError, is_int
+from . import UsageError, is_int, shown
 from .game import GameSpec
 
 _MASK = (1 << 64) - 1
@@ -84,25 +84,23 @@ class SimulationReport(NamedTuple):
 def _step_table(spec: GameSpec, most: int) -> tuple[list[tuple[int, int]], list[int], bool]:
     """The move table over the two steps of a pass, or over one; returns it, its chick list and which.
 
-    A spin index is a spin outcome, it plus faces (the same move) or
-    2 * faces, the no-op a redrawn spin plays: K = 2 * faces + 1 of them.
-    In the two-step table entry `row + K * s1 + s2` is (next row, offset)
-    after spins s1 then s2, the next row -1 if the second step reached the
-    terminal and -2 if the first did; the new chicks are
-    `chick_list[chicks + offset]`.  The list holds the clamp (where two
-    changes of one sign read their sum), the clamp less one (a gain then
-    the fox, read at the gain), one stretch per gain (the fox then it)
-    and two zeros.  Past `most` cells, the one-step table comes back
-    instead: K entries a row, (next row or -1, chick change), over the
-    clamp alone.
+    A spin index is a spin outcome or it plus faces, the same move: K =
+    2 * faces of them.  In the two-step table entry `row + K * s1 + s2` is
+    (next row, offset) after spins s1 then s2, the next row -1 if the
+    second step reached the terminal and -2 if the first did; the new
+    chicks are `chick_list[chicks + offset]`.  The list holds the clamp
+    (where two changes of one sign read their sum), the clamp less one (a
+    gain then the fox, read at the gain), one stretch per gain (the fox
+    then it) and two zeros.  Past `most` cells, the one-step table comes
+    back instead: K entries a row, (next row or -1, chick change), over
+    the clamp alone.
     """
     faces, cap = len(spec.animals) + 1, spec.win_threshold
-    size = 2 * faces + 1
+    size = 2 * faces
     row = {square: slot * size for slot, square in enumerate(spec.moves)} | {spec.terminal_square: -1}
     steps: list[tuple[int, int]] = []  # the one-step table
     for square, moves in spec.moves.items():
-        entries = [(row[square], -1), *((row[target], gain) for target, gain in moves)]
-        steps += entries + entries + [(row[square], 0)]
+        steps += [(row[square], -1), *((row[target], gain) for target, gain in moves)] * 2
     clamp = [*range(cap + 1), *[cap] * (cap + 2)]  # a change is at most cap + 1, two at most cap + 2
     cells = len(steps) * size
     gains = sorted({change for _, change in steps if change > 0}) if cells <= most else ()
@@ -114,9 +112,7 @@ def _step_table(spec: GameSpec, most: int) -> tuple[list[tuple[int, int]], list[
     for gain in gains:
         after_fox[gain] = len(clamp)
         clamp += [min(max(chicks - 1, 0) + gain, cap) for chicks in range(cap + 1)]
-    distinct = {  # one-step row: its (next row, chick change) after each spin, then after the no-op
-        one: steps[one : one + faces] + steps[one + size - 1 : one + size] for one in range(0, len(steps), size)
-    }
+    distinct = {one: steps[one : one + faces] for one in range(0, len(steps), size)}  # one-step row: each spin's entry
     pair_row = {one: one * size for one in distinct} | {-1: -1}
     table: list[tuple[int, int]] = []
     for entries in distinct.values():
@@ -129,8 +125,8 @@ def _step_table(spec: GameSpec, most: int) -> tuple[list[tuple[int, int]], list[
             for after, second in distinct[middle]:
                 offset = first + second if first * second >= 0 else less + first if second < 0 else after_fox[second]
                 block.append((pair_row[after], offset))
-            blocks.append(block[:-1] * 2 + block[-1:])  # a spin plus faces reads the spin's entry
-        for block in blocks[:-1] * 2 + blocks[-1:]:
+            blocks.append(block * 2)  # a spin plus faces reads the spin's entry
+        for block in blocks * 2:
             table += block
     return table, clamp + [0, 0], True
 
@@ -166,43 +162,44 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     two draws a pass, each a `_mix_lanes` of every lane; draw * (2**64 //
     faces) >> 64, which is draw // faces or one less, leaves each slot its
     spin or its spin plus faces, and one carry test finds the rare draws
-    at or above the rejection limit, whose spins become the no-op.  A
+    at or above the rejection limit.  A lane with one keeps the pass's
+    accepted draws and draws on from its own slot's state until it has
+    two, so every live lane has played the batch's steps in rounds.  A
     lane plays the pass by one lookup in a two-step table (each slot holds
     s1 * K + s2, so one unpack reads every index) or by two in a one-step
-    table (the second spins in the slots' high halves).  A lane's rounds
-    are the batch's steps less its redraws (a rejected second draw counts
-    only if the first step left the lane live); a finished lane is tallied
-    as rounds * (cap + 1) + chicks, and one that finished past round_cap
-    counts as censored, so a cap below one censors every trial.  At half
-    the slots live or fewer, lanes repack into the next power of two slots.
+    table (the second spins in the slots' high halves).  A finished lane
+    is tallied as rounds * (cap + 1) + chicks; one that finished past
+    round_cap, or is live once the steps reach it, counts as censored, so
+    a cap below one censors every trial.  At half the slots live or
+    fewer, lanes repack into the next power of two slots.
     """
     if not (is_int(trials) and trials >= 1):
-        raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
+        raise UsageError(f"trials must be an integer >= 1, got {shown(trials)}")
     for name, value in (("seed", seed), ("round_cap", round_cap)):
         if not is_int(value):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
+            raise UsageError(f"{name} must be an integer, got {shown(value)}")
     # A two-step cell costs 40-120 ns to build, repaid from about one trial a cell on the shortest games.
     table, clamp, pairs = _step_table(spec, min(_PAIR_CELLS, trials))
     faces, cap = len(spec.animals) + 1, spec.win_threshold
-    size, noop, magic = 2 * faces + 1, 2 * faces, (_MASK + 1) // faces
+    size, magic = 2 * faces, (_MASK + 1) // faces
     limit = faces * magic  # the largest multiple of faces within 2**64: draws at or above it are redrawn
     outcomes: Counter[int] = Counter()  # rounds * (cap + 1) + chicks: finished lanes
     censored = 0
     for first in range(0, trials, LANES):
         live = list(range(min(LANES, trials - first)))
-        rows, held, redraws = ([0] * len(live) for _ in range(3))  # per lane: row, chicks, redraws
+        rows, held = [0] * len(live), [0] * len(live)  # per lane: row, chicks
         width = 1 << (len(live) - 1).bit_length()
         rep, carries, m64, step, ramp, low, high = _lanes(width)  # lane i draws from stream first + i
         reject = rep * (_MASK + 1 - limit)
         state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp) & m64, m64)
         steps, finished = 0, []
-        while live:
+        while live and steps < round_cap:  # every live lane has played `steps` rounds
             if 2 * len(live) <= width:
                 states = low.unpack(state.to_bytes(16 * width, "little"))
                 width = 1 << (len(live) - 1).bit_length()
                 rep, carries, m64, step, _, low, high = _lanes(width)
                 reject = rep * (_MASK + 1 - limit)
-                kept, rows, held, redraws = ([c[lane] for lane in live] for c in (states, rows, held, redraws))
+                kept, rows, held = ([c[lane] for lane in live] for c in (states, rows, held))
                 state = int.from_bytes(low.pack(*kept, *[0] * (width - len(kept))), "little")
                 live = list(range(len(live)))
             state = (state + step) & m64
@@ -211,19 +208,17 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
             two = _mix_lanes(state, m64)
             spin1, spin2 = one - (one * magic >> 64 & m64) * faces, two - (two * magic >> 64 & m64) * faces
             steps += 2
-            if ((one + reject) | (two + reject)) & carries:  # a redraw advances the stream, not the round
-                draw1, draw2, spin1, spin2 = (
-                    list(low.unpack(packed.to_bytes(16 * width, "little"))) for packed in (one, two, spin1, spin2)
+            if ((one + reject) | (two + reject)) & carries:  # a lane keeps its accepted draws and draws on
+                states, draw1, draw2, spin1, spin2 = (
+                    list(low.unpack(packed.to_bytes(16 * width, "little"))) for packed in (state, one, two, spin1, spin2)
                 )
                 for lane in live:
-                    if draw1[lane] >= limit:
-                        spin1[lane] = noop
-                        redraws[lane] += 1
-                    if draw2[lane] >= limit:  # counts only if the first step left the lane live
-                        spin2[lane] = noop
-                        first_step = spin1[lane] * size + noop if pairs else spin1[lane]
-                        redraws[lane] += table[rows[lane] + first_step][0] >= 0
-                spin1, spin2 = (int.from_bytes(low.pack(*spins), "little") for spins in (spin1, spin2))
+                    draws = [draw for draw in (draw1[lane], draw2[lane]) if draw < limit]
+                    while len(draws) < 2:
+                        states[lane] = (states[lane] + _GOLDEN) & _MASK
+                        draws += [draw for draw in (_mix_lanes(states[lane], _MASK),) if draw < limit]
+                    spin1[lane], spin2[lane] = (draw % faces for draw in draws)
+                state, spin1, spin2 = (int.from_bytes(low.pack(*lanes), "little") for lanes in (states, spin1, spin2))
             stepping, live = live, []
             if pairs:
                 index = low.unpack((spin1 * size + spin2).to_bytes(16 * width, "little"))
@@ -231,7 +226,7 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
                     row, offset = table[rows[lane] + index[lane]]
                     chicks = clamp[held[lane] + offset]
                     if row < 0:  # -1: finished on the pass's second step, -2 on its first
-                        finished.append((steps + 1 + row - redraws[lane]) * (cap + 1) + chicks)
+                        finished.append((steps + 1 + row) * (cap + 1) + chicks)
                     else:
                         rows[lane], held[lane] = row, chicks
                         live.append(lane)
@@ -242,19 +237,16 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
                     row, change = table[rows[lane] + spin1[lane]]
                     chicks = clamp[held[lane] + change]
                     if row < 0:
-                        finished.append((steps - 1 - redraws[lane]) * (cap + 1) + chicks)
+                        finished.append((steps - 1) * (cap + 1) + chicks)
                         continue
                     row, change = table[row + spin2[lane]]
                     chicks = clamp[chicks + change]
                     if row < 0:
-                        finished.append((steps - redraws[lane]) * (cap + 1) + chicks)
+                        finished.append(steps * (cap + 1) + chicks)
                     else:
                         rows[lane], held[lane] = row, chicks
                         live.append(lane)
-            if steps >= round_cap:  # no lane has played more rounds than the batch has steps
-                running = len(live)
-                live = [lane for lane in live if steps - redraws[lane] < round_cap]
-                censored += running - len(live)
+        censored += len(live)
         outcomes.update(finished)
 
     chick_histogram: dict[int, int] = {}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, inf
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, UsageError, format_rows, is_int
+from . import MAX_DIGITS, UsageError, check_digits, format_rows
 
 if TYPE_CHECKING:
     from .chain import AbsorptionRecord
@@ -164,20 +164,9 @@ def summarize(record: AbsorptionRecord) -> SummaryStats:
     )
 
 
-def _check_digits(digits: int, most: float = inf) -> None:
-    """Refuse a place count that is not an int of at least 1, or is over `most`.
-
-    A report passes MAX_DIGITS: its roots carry DECIMAL_PRECISION digits.
-    """
-    if not (is_int(digits) and digits >= 1):
-        raise UsageError(f"digits must be an integer >= 1, got {digits!r}")
-    if digits > most:
-        raise UsageError(f"digits {digits} exceeds the limit of {most} places")
-
-
 def format_fraction(value: Fraction, digits: int) -> str:
     """Correctly rounded fixed-point string with `digits` places (ties to even)."""
-    _check_digits(digits)
+    check_digits(digits, inf)
     negative = value < 0
     scaled = abs(value) * 10**digits
     units, remainder = divmod(scaled.numerator, scaled.denominator)
@@ -191,7 +180,7 @@ def format_fraction(value: Fraction, digits: int) -> str:
 
 def format_fraction_scientific(value: Fraction, digits: int) -> str:
     """Scientific-notation string with `digits` significant digits."""
-    _check_digits(digits)
+    check_digits(digits, inf)
     if value == 0:
         return "0"
     with localcontext() as ctx:
@@ -215,7 +204,7 @@ def epsilon_pair(epsilon: Fraction, digits: int) -> dict:
 
 def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
     """Plain-dict report; rationals carry both a decimal and an exact fraction form."""
-    _check_digits(digits, MAX_DIGITS)
+    check_digits(digits)
     return {
         "win_probability": _decimal_pair(stats.win_probability, digits),
         "chicks": {
@@ -237,7 +226,7 @@ def stats_json_dict(stats: SummaryStats, digits: int = 13) -> dict:
 
 def render_stats(stats: SummaryStats, digits: int = 13) -> str:
     """Render a report as aligned text; `stats_json_dict` is the JSON form."""
-    _check_digits(digits, MAX_DIGITS)
+    check_digits(digits)
     undefined = "undefined (zero variance)"
     rows = [
         ("horizon M", stats.rounds_run),

@@ -455,10 +455,13 @@ def test_long_digits_round_to_the_default_report(capsys, digits):
             assert value == short
 
 
-def test_digits_over_the_limit_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "analyze", "--builtin", "simplified", "--digits", "41")
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: --digits 41 exceeds the limit of 40 places\n"
+# Refused before any document is read: a missing file would be refused with its own line.
+def test_digits_over_the_limit_is_a_usage_error(capsys, tmp_path):
+    for command in (["analyze"], ["compare", "--trials", "10"]):
+        for source in (["--builtin", "simplified"], [str(tmp_path / "missing.json")]):
+            code, out, err = run_cli(capsys, *command, *source, "--digits", "41")
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == "error: digits 41 exceeds the limit of 40 places\n"
 
 
 def test_zero_skewness_renders_in_fixed_point(tmp_path, capsys):

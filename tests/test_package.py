@@ -1,5 +1,6 @@
 """The package surface: every exported name, and which modules each entry point loads."""
 
+from fractions import Fraction
 from importlib import import_module
 
 import pytest
@@ -94,3 +95,48 @@ def test_the_input_limits_still_import_from_the_engine():
 
     assert (bits, record, rounds, window) == (MAX_DENOMINATOR_BITS, MAX_RECORD_BITS, MAX_ROUNDS, MAX_WINDOW)
     assert (bits, record, rounds, window) == (64, 100_000_000, 1_000, 10_000)
+
+
+# str() of an int past 4300 digits raises ValueError, so each of these
+# refusals raised that in place of its own error; `shown` names the type.
+BIG = 10**5000
+
+
+def _chain(transient=("a",), src="a", dst="z", prob="1", weight=0, support=(0, 1)):
+    return capchain.WeightedMarkovChain(list(transient), ["z"], [capchain.Edge(src, dst, prob, weight)], support)
+
+
+def _game(animals=("a",), squares=("0", "a", "*"), blue=(), win_threshold=2):
+    return capchain.GameSpec(animals=animals, squares=squares, blue=blue, win_threshold=win_threshold)
+
+
+REFUSALS = {
+    "state id": (capchain.InvalidChainError, lambda: _chain(transient=("a", BIG))),
+    "edge end": (capchain.InvalidChainError, lambda: _chain(dst=BIG)),
+    "edge end of an unread probability": (capchain.InvalidChainError, lambda: _chain(src=BIG, prob="x")),
+    "probability": (capchain.InvalidChainError, lambda: _chain(prob=[BIG])),
+    "weight": (capchain.InvalidChainError, lambda: _chain(weight=Fraction(BIG, 3))),
+    "support": (capchain.InvalidChainError, lambda: _chain(support=(0.5, BIG))),
+    "tag": (capchain.GameSpecError, lambda: _game(animals=(BIG,))),
+    "label": (capchain.GameSpecError, lambda: _game(squares=("0", BIG, "*"))),
+    "blue square": (capchain.GameSpecError, lambda: _game(blue=(BIG,))),
+    "non-integer blue square": (capchain.GameSpecError, lambda: _game(blue=(Fraction(BIG, 3),))),
+    "win_threshold": (capchain.GameSpecError, lambda: _game(win_threshold=BIG)),
+    "negative win_threshold": (capchain.GameSpecError, lambda: _game(win_threshold=-BIG)),
+    "non-integer win_threshold": (capchain.GameSpecError, lambda: _game(win_threshold=Fraction(BIG, 3))),
+    "builtin name": (capchain.UsageError, lambda: capchain.builtin_game(BIG)),
+    "horizon": (capchain.UsageError, lambda: capchain.run_absorption(_chain(), "a", BIG)),
+    "start state": (capchain.UsageError, lambda: capchain.run_absorption(_chain(), BIG, 1)),
+    "report digits": (capchain.UsageError, lambda: capchain.render_stats(None, BIG)),
+    "fraction digits": (capchain.UsageError, lambda: capchain.format_fraction(Fraction(1, 3), -BIG)),
+    "trials": (capchain.UsageError, lambda: capchain.simulate(_game(), -BIG, 1)),
+    "seed": (capchain.UsageError, lambda: capchain.simulate(_game(), 1, Fraction(BIG, 3))),
+}
+
+
+@pytest.mark.parametrize("error, refused", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_names_a_value_too_long_to_print(error, refused):
+    with pytest.raises(error) as excinfo:
+        refused()
+    assert excinfo.type is error
+    assert "too long to print>" in str(excinfo.value)

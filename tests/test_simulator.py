@@ -197,7 +197,7 @@ def test_simulate_is_deterministic():
 # simulate draws twice a pass, so at the odd cap a lane can finish in
 # round 12, past the cap, and must count as censored.  At 1500 trials the
 # simplified board plays from its two-step table (290 cells) and the full
-# board from its one-step table (the two-step one has 5603 cells).
+# board from its one-step table (the two-step one has 4853 cells).
 @pytest.mark.parametrize("round_cap", [600, 10, 11])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
 @pytest.mark.parametrize("name", ["simplified", "full"])
@@ -208,8 +208,8 @@ def test_simulate_equals_a_fold_of_single_plays(name, seed, round_cap):
     assert (report.censored > 0) == (round_cap != 600)
 
 
-# A cap below one spin censors every trial: the first pass plays, and each
-# lane it finishes or leaves live has played more rounds than the cap.
+# A cap below one spin censors every trial: no pass plays, and every lane
+# is still live when the steps reach the cap.
 @pytest.mark.parametrize("trials", [1, LANES + 2])
 @pytest.mark.parametrize("round_cap", [0, -3])
 @pytest.mark.parametrize("name", ["simplified", "full"])
@@ -286,9 +286,9 @@ def test_a_rejection_on_a_second_draw_mid_game_is_redrawn(monkeypatch, round_cap
     assert report == fold_single_plays(spec, LANES + 10, seed, round_cap)
 
 
-# A lane's rounds are its batch's steps less its rejected draws.  Trial 0
-# of this seed redraws its first draw, so it finishes one step after its
-# round count r; caps of r - 1, r and r + 1 straddle that step.
+# A rejected draw costs no round.  Trial 0 of this seed redraws its first
+# draw, so it finishes on the draw after its round count r; caps of r - 1,
+# r and r + 1 straddle that draw.
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_a_rejection_before_the_round_cap_does_not_count_as_a_round(monkeypatch, offset):
     seed = 0xBE12FE39FBD63F3C
@@ -327,30 +327,30 @@ def test_every_face_count_plays_as_single_plays(monkeypatch, animals):
 
 
 def alternating_board(squares):
-    """Animals a and b by turns after the start: every move gains 1 or 2, and a two-step row has 7 * 7 entries."""
+    """Animals a and b by turns after the start: every move gains 1 or 2, and a two-step row has 6 * 6 entries."""
     labels = ("0",) + tuple("ab"[index % 2] for index in range(squares - 1)) + ("*",)
     return GameSpec(animals=("a", "b"), squares=labels, blue=(), win_threshold=squares)
 
 
 # A board plays a pass of two steps by one lookup while its rows and its
 # fox-then-gain chick lists fit _PAIR_CELLS cells, and by two one-step
-# lookups past that.  The full board's table has 30 rows of 13 * 13 entries.
+# lookups past that.  The full board's table has 30 rows of 12 * 12 entries.
 def test_the_table_takes_two_steps_a_pass_while_it_fits():
     table, _, pairs = _step_table(builtin_game("full"), _PAIR_CELLS)
-    assert (len(table), pairs) == (30 * 13 * 13, True)
-    n = 3000
+    assert (len(table), pairs) == (30 * 12 * 12, True)
+    n = 5000
     spec = GameSpec(animals=("a",), squares=("a",) * n + ("*",), blue=(), win_threshold=n)
     table, _, pairs = _step_table(spec, _PAIR_CELLS)
-    assert (len(table), pairs) == (n * 5, False)
-    for squares, fits in ((1284, True), (1285, False)):
-        cells = squares * 7 * 7 + 2 * (squares + 1)  # two gains, a chick list of cap + 1 cells each
+    assert (len(table), pairs) == (n * 4, False)
+    for squares, fits in ((1724, True), (1725, False)):
+        cells = squares * 6 * 6 + 2 * (squares + 1)  # two gains, a chick list of cap + 1 cells each
         assert (cells <= _PAIR_CELLS) == fits
         assert _step_table(alternating_board(squares), _PAIR_CELLS)[2] == fits
 
 
 # simulate builds the two-step table only for at least as many trials as
-# it has cells: on the full board, 5070 entries and a chick list of 41
-# cells (cap 40) for each of its 13 gains make 5603.
+# it has cells: on the full board, 4320 entries and a chick list of 41
+# cells (cap 40) for each of its 13 gains make 4853.
 def test_the_two_step_table_waits_for_as_many_trials_as_it_has_cells(monkeypatch):
     taken = []
 
@@ -360,7 +360,7 @@ def test_the_two_step_table_waits_for_as_many_trials_as_it_has_cells(monkeypatch
         return made
 
     monkeypatch.setattr(capchain.simulator, "_step_table", spy)
-    for trials in (1, 5602, 5603):
+    for trials in (1, 4852, 4853):
         simulate(builtin_game("full"), trials, 1)
     assert taken == [False, False, True]
 
@@ -369,7 +369,7 @@ def test_the_two_step_table_waits_for_as_many_trials_as_it_has_cells(monkeypatch
 # third or its fourth draw: the first or the second draw of the second
 # pass, on the boards just inside and just past the size rule.
 @pytest.mark.parametrize("draw", [3, 4])
-@pytest.mark.parametrize("squares", [1284, 1285])
+@pytest.mark.parametrize("squares", [1724, 1725])
 def test_a_rejection_on_either_side_of_the_table_size_rule_is_redrawn(monkeypatch, squares, draw):
     play_from(monkeypatch, _PAIR_CELLS)  # four trials play as if they were _PAIR_CELLS: the board decides
     seed = unmix64((unmix64(_MASK) - draw * 0x9E3779B97F4A7C15) & _MASK)
@@ -380,6 +380,24 @@ def test_a_rejection_on_either_side_of_the_table_size_rule_is_redrawn(monkeypatc
         report = simulate(spec, 4, seed, round_cap)
         assert report == fold_single_plays(spec, 4, seed, round_cap)
         assert (0 < report.censored < 4) == (round_cap == squares)
+
+
+# Trial 0 of this seed draws 2**64 - 1, which three faces reject, as its
+# 209th draw, the first of pass 105, with its game still on.  51 of the
+# 64 trials finish within 207 rounds, by pass 104, so the batch has
+# repacked into 16 slots or fewer: the redraw advances trial 0's state in
+# a narrowed slot, and its later draws must come from there.
+def test_a_rejection_after_a_repack_is_redrawn_from_the_narrowed_slot(monkeypatch):
+    draw, trials = 209, 64
+    seed = unmix64((unmix64(_MASK) - draw * 0x9E3779B97F4A7C15) & _MASK)
+    rng = SplitMix64.stream(seed, 0)
+    assert [rng.next_u64() for _ in range(draw)][-1] == _MASK
+    spec = alternating_board(200)
+    assert play_once(spec, SplitMix64.stream(seed, 0), round_cap=draw - 1) is None
+    early = [play_once(spec, SplitMix64.stream(seed, trial), round_cap=draw - 2) for trial in range(trials)]
+    assert sum(result is not None for result in early) == 51
+    report = on_both_tables(monkeypatch, spec, trials, seed)
+    assert report == fold_single_plays(spec, trials, seed, 600)
 
 
 def test_lane_constants_are_built_on_first_use_once_per_width():
@@ -459,13 +477,13 @@ def test_simulate_memory_grows_with_the_board_not_with_board_times_cap():
     assert report == fold_single_plays(spec, 2, 1, 4 * n)
 
 
-# The two-step table of a 1284-square board just inside _PAIR_CELLS: a
+# The two-step table of a 1724-square board just inside _PAIR_CELLS: a
 # pointer a cell, and one shared (next row, offset) pair per first and
 # second move of a square, about 41 bytes a cell in all.  A table with a
 # pair of its own in every cell takes about 77.
 def test_the_two_step_table_memory_stays_within_its_cell_budget(monkeypatch):
     play_from(monkeypatch, _PAIR_CELLS)
-    n = 1284
+    n = 1724
     spec = alternating_board(n)
     spec.moves
     assert _step_table(spec, _PAIR_CELLS)[2]

@@ -16,9 +16,9 @@ is read, so `import capchain` loads no submodule and a caller pays only
 for the layers it uses: `capchain.builtin_game` loads the game module
 alone, `capchain.run_absorption` the engine.  What every layer shares
 and none owns lives here: the input limits, the usage errors, `is_int`,
-`shown`, `check_digits`, `decode_json` and `format_rows`.  So the command
-line can check a horizon or a place count, catch an input error or print
-a report's rows without loading the exact engine.
+`shown`, `check_rounds`, `check_digits`, `decode_json` and `format_rows`.
+So the command line can check a horizon or a place count, catch an input
+error or print a report's rows without loading the exact engine.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ MAX_MOVES = 1 << 17
 # Most decimal places a report may ask for (`check_digits`): `capchain.stats` takes its
 # square roots 10 digits further.
 MAX_DIGITS = 40
+# Most places `format_fraction` and `format_fraction_scientific` take, checked before a power of ten is
+# built: under Python's default 4300-digit limit on int-to-text conversion, so any value below 10**299 prints.
+MAX_FORMAT_DIGITS = 4_000
 
 
 class UsageError(ValueError):
@@ -94,7 +97,13 @@ def shown(value: object) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def check_digits(digits: object, most: float = MAX_DIGITS) -> None:
+def check_rounds(rounds: object) -> None:
+    """Refuse a horizon that is not an int in 1..MAX_ROUNDS."""
+    if not (is_int(rounds) and 1 <= rounds <= MAX_ROUNDS):
+        raise UsageError(f"horizon must be an integer between 1 and {MAX_ROUNDS}, got {shown(rounds)}")
+
+
+def check_digits(digits: object, most: int = MAX_DIGITS) -> None:
     """Refuse a place count that is not an int of at least 1, or is over `most`: a report's MAX_DIGITS by default."""
     if not (is_int(digits) and digits >= 1):
         raise UsageError(f"digits must be an integer >= 1, got {shown(digits)}")

@@ -35,6 +35,7 @@ from . import (  # re-exported: these have always been importable from here
     InvalidChainError,
     RecordTooLargeError,
     UsageError,
+    check_rounds,
     decode_json,
     is_int,
     shown,
@@ -256,8 +257,7 @@ def run_absorption(
     more than `max_record_bits` stored cells x denominator bits: that sum
     only grows, so the run stops at the first round that passes it.
     """
-    if not (is_int(rounds) and 1 <= rounds <= MAX_ROUNDS):
-        raise UsageError(f"horizon must be an integer between 1 and {MAX_ROUNDS}, got {shown(rounds)}")
+    check_rounds(rounds)
     if not isinstance(start, str) or start not in chain.transient_set:
         raise UsageError(f"start state {shown(start)} is not a transient state of the chain")
     from .poly import CappedPolynomial
@@ -285,15 +285,7 @@ def chain_to_json_dict(chain: WeightedMarkovChain) -> dict:
     return {
         "transient": list(chain.transient),
         "absorbing": list(chain.absorbing),
-        "edges": [
-            {
-                "src": edge.src,
-                "dst": edge.dst,
-                "prob": str(edge.prob),
-                "weight": edge.weight,
-            }
-            for edge in chain.edges
-        ],
+        "edges": [{**edge._asdict(), "prob": str(edge.prob)} for edge in chain.edges],
         "support": {"min": lo, "max": hi},
     }
 
@@ -326,7 +318,7 @@ def chain_from_json_dict(data: object) -> WeightedMarkovChain:
     """
     if not isinstance(data, dict):
         raise ChainFormatError("chain document must be a JSON object")
-    for key in ("transient", "absorbing", "edges", "support"):
+    for key in WeightedMarkovChain._fields:
         if key not in data:
             raise ChainFormatError(f"chain document is missing {key!r}")
     for key in ("transient", "absorbing"):
@@ -343,7 +335,7 @@ def chain_from_json_dict(data: object) -> WeightedMarkovChain:
         where = f"edges[{index}]"
         if not isinstance(item, dict):
             raise ChainFormatError(f"{where}: must be an object")
-        for key in ("src", "dst", "prob", "weight"):
+        for key in Edge._fields:
             if key not in item:
                 raise ChainFormatError(f"{where}: missing {key!r}")
         edges.append(Edge(item["src"], item["dst"], _parse_prob(item["prob"], f"{where}.prob"), item["weight"]))

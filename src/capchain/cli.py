@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_RECORD_BITS, MAX_ROUNDS, UsageError, check_digits, decode_json, format_rows
+from . import MAX_RECORD_BITS, UsageError, check_digits, check_rounds, decode_json, format_rows
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -244,13 +244,8 @@ def _compare_one(
         return ComparisonRow(name, exact, empirical, 0.0, None, False)
     stderr = sqrt(sampling_variance / n) if sampling_variance > 0 else 0.0
     difference = abs(exact - empirical)
-    if stderr == 0.0:
-        return ComparisonRow(
-            name, exact, empirical, 0.0, None if difference == 0 else inf,
-            difference == 0,
-        )
-    z = difference / stderr
-    return ComparisonRow(name, exact, empirical, stderr, z, z <= 4.0)
+    z = difference / stderr if stderr else (None if difference == 0 else inf)  # no spread: exact or infinitely off
+    return ComparisonRow(name, exact, empirical, stderr, z, z is None or z <= 4.0)
 
 
 def cmd_compare(config: argparse.Namespace) -> int:
@@ -263,7 +258,7 @@ def cmd_compare(config: argparse.Namespace) -> int:
     if config.format == "json":
         header = {key: getattr(report, key) for key in ("trials", "seed", "round_cap", "censored")}
         # A row's fields in order, `passed` written as "pass".
-        statistics = [dict(zip(("name", "exact", "empirical", "stderr", "z", "pass"), row)) for row in rows]
+        statistics = [dict(zip((*ComparisonRow._fields[:-1], "pass"), row)) for row in rows]
         _emit({**header, "epsilon": epsilon, "statistics": statistics, "pass": all_pass}, config)
     else:
         header = f"{'statistic':<16} {'exact':>14} {'empirical':>14} {'stderr':>12} {'z':>7}  result"
@@ -369,8 +364,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         # dump-chain takes no -M, and simulate and dump-chain no --digits.
-        if getattr(config, "rounds", 0) > MAX_ROUNDS:
-            raise UsageError(f"horizon {config.rounds} exceeds the limit of {MAX_ROUNDS} rounds")
+        if hasattr(config, "rounds"):
+            check_rounds(config.rounds)
         if hasattr(config, "digits"):
             check_digits(config.digits)
         return _COMMANDS[config.command](config)

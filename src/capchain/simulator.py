@@ -63,22 +63,11 @@ class SimulationReport(NamedTuple):
         return self.trials - self.censored
 
     def to_json_dict(self) -> dict:
-        """Plain-dict form; histograms become sorted [value, count] pairs."""
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "round_cap": self.round_cap,
-            "censored": self.censored,
-            "completed": self.completed,
-            "wins": self.wins,
-            "chick_mean": self.chick_mean,
-            "chick_variance": self.chick_variance,
-            "rounds_mean": self.rounds_mean,
-            "rounds_variance": self.rounds_variance,
-            "correlation": self.correlation,
-            "chick_histogram": [list(item) for item in sorted(self.chick_histogram.items())],
-            "rounds_histogram": [list(item) for item in sorted(self.rounds_histogram.items())],
-        }
+        """Plain-dict form: each field, `completed` after `censored`; histograms as sorted [value, count] pairs."""
+        items = [(key, [list(item) for item in sorted(value.items())] if isinstance(value, dict) else value)
+                 for key, value in self._asdict().items()]
+        items.insert(self._fields.index("censored") + 1, ("completed", self.completed))
+        return dict(items)
 
 
 def _step_table(spec: GameSpec, most: int) -> tuple[list[tuple[int, int]], list[int], bool]:

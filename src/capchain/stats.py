@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_DIGITS, UsageError, check_digits, format_rows
+from . import MAX_DIGITS, MAX_FORMAT_DIGITS, UsageError, check_digits, format_rows
 
 if TYPE_CHECKING:
     from .chain import AbsorptionRecord
@@ -165,22 +165,25 @@ def summarize(record: AbsorptionRecord) -> SummaryStats:
 
 
 def format_fraction(value: Fraction, digits: int) -> str:
-    """Correctly rounded fixed-point string with `digits` places (ties to even)."""
-    check_digits(digits, inf)
+    """Correctly rounded fixed-point string with `digits` places (ties to even), up to MAX_FORMAT_DIGITS."""
+    check_digits(digits, MAX_FORMAT_DIGITS)
     negative = value < 0
     scaled = abs(value) * 10**digits
     units, remainder = divmod(scaled.numerator, scaled.denominator)
     twice = 2 * remainder
     if twice > scaled.denominator or (twice == scaled.denominator and units % 2):
         units += 1
-    text = str(units).rjust(digits + 1, "0")
+    try:
+        text = str(units).rjust(digits + 1, "0")
+    except ValueError:  # past Python's limit on int-to-text conversion
+        raise UsageError(f"the value has too many digits to print to {digits} places") from None
     sign = "-" if negative and units else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 def format_fraction_scientific(value: Fraction, digits: int) -> str:
-    """Scientific-notation string with `digits` significant digits."""
-    check_digits(digits, inf)
+    """Scientific-notation string with `digits` significant digits, up to MAX_FORMAT_DIGITS."""
+    check_digits(digits, MAX_FORMAT_DIGITS)
     if value == 0:
         return "0"
     with localcontext() as ctx:

@@ -428,7 +428,7 @@ def test_horizon_over_the_limit_is_a_usage_error(capsys, command):
         argv += ["--trials", "10"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"error: horizon {MAX_ROUNDS + 1} exceeds the limit of {MAX_ROUNDS} rounds\n"
+    assert err == f"error: horizon must be an integer between 1 and {MAX_ROUNDS}, got {MAX_ROUNDS + 1}\n"
 
 
 def report_rows(out):

@@ -208,7 +208,7 @@ GOLDEN = {
     "horizon-over-limit": (
         2,
         EMPTY,
-        "f26b89a0c13c3e63d5b920d161bb6364e0e1e7289d4ab6ba3d29964e0e9db04e",
+        "80b4d868ba2789613dddfb9df1f9a3474f84ad6de1f58fd3abf833e9842f60e0",
     ),
     "invalid-chain": (
         2,

@@ -129,6 +129,8 @@ REFUSALS = {
     "start state": (capchain.UsageError, lambda: capchain.run_absorption(_chain(), BIG, 1)),
     "report digits": (capchain.UsageError, lambda: capchain.render_stats(None, BIG)),
     "fraction digits": (capchain.UsageError, lambda: capchain.format_fraction(Fraction(1, 3), -BIG)),
+    "fraction digits +BIG": (capchain.UsageError, lambda: capchain.format_fraction(Fraction(1, 3), BIG)),
+    "scientific digits +BIG": (capchain.UsageError, lambda: capchain.format_fraction_scientific(Fraction(1, 3), BIG)),
     "trials": (capchain.UsageError, lambda: capchain.simulate(_game(), -BIG, 1)),
     "seed": (capchain.UsageError, lambda: capchain.simulate(_game(), 1, Fraction(BIG, 3))),
 }

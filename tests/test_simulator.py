@@ -9,6 +9,7 @@ import capchain.simulator
 from capchain import (
     GameSpec,
     GameSpecError,
+    SimulationReport,
     UsageError,
     builtin_game,
     compile_game,
@@ -540,6 +541,14 @@ def test_report_round_trips_to_json_dict():
         [value, count] for value, count in sorted(report.chick_histogram.items())
     ]
     assert document["wins"] == report.wins
+    # A hand-built report: every field in order, `completed` after `censored`, histograms sorted.
+    built = SimulationReport(10, 4, 600, 3, 2, 1.5, 0.25, 5.0, 1.0, -0.5, {3: 1, 0: 4, 1: 2}, {9: 3, 2: 4})
+    document = built.to_json_dict()
+    assert list(document) == [*SimulationReport._fields[:4], "completed", *SimulationReport._fields[4:]]
+    assert document["completed"] == 7
+    assert document["chick_histogram"] == [[0, 4], [1, 2], [3, 1]]
+    assert document["rounds_histogram"] == [[2, 4], [9, 3]]
+    assert [document[key] for key in SimulationReport._fields[:10]] == list(built[:10])
 
 
 def test_simulate_rejects_empty_batch():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from capchain import (
     MAX_DIGITS,
+    MAX_FORMAT_DIGITS,
     AbsorptionRecord,
     CappedPolynomial,
     Edge,
@@ -256,7 +257,37 @@ def test_a_report_refuses_more_places_than_its_roots_carry(full_stats_60, render
     render(full_stats_60, MAX_DIGITS)
     with pytest.raises(UsageError, match=rf"^digits {MAX_DIGITS + 1} exceeds the limit of {MAX_DIGITS} places$"):
         render(full_stats_60, MAX_DIGITS + 1)
-    assert format_fraction(Fraction(1, 3), 60) == "0." + "3" * 60  # an exact value has no such limit
+    assert format_fraction(Fraction(1, 3), 60) == "0." + "3" * 60  # an exact value prints further
+
+
+# 10**6 places raised ValueError from int-to-text conversion and 10**20 OverflowError from the
+# decimal context; far more built 10**digits for minutes.  The bound is checked first.
+@pytest.mark.parametrize(
+    "render, digits",
+    [
+        (format_fraction, 10**6),
+        (format_fraction_scientific, 10**20),
+        (format_fraction, MAX_FORMAT_DIGITS + 1),
+        (format_fraction_scientific, MAX_FORMAT_DIGITS + 1),
+    ],
+)
+def test_format_fraction_refuses_places_past_its_bound(render, digits):
+    with pytest.raises(UsageError, match=rf"^digits {digits} exceeds the limit of {MAX_FORMAT_DIGITS} places$"):
+        render(Fraction(1, 3), digits)
+
+
+def test_format_fraction_prints_every_place_up_to_its_bound():
+    assert format_fraction(Fraction(1, 3), MAX_FORMAT_DIGITS) == "0." + "3" * MAX_FORMAT_DIGITS
+    assert format_fraction_scientific(Fraction(1, 3), MAX_FORMAT_DIGITS) == "0." + "3" * MAX_FORMAT_DIGITS
+    # The largest value the bound promises, rounded up to 10**299 at the last place.
+    below = Fraction(10**299) - Fraction(1, 10 ** (MAX_FORMAT_DIGITS + 1))
+    assert format_fraction(below, MAX_FORMAT_DIGITS) == "1" + "0" * 299 + "." + "0" * MAX_FORMAT_DIGITS
+
+
+# Its digits past Python's int-to-text limit raised ValueError from inside.
+def test_format_fraction_refuses_a_value_too_long_to_print():
+    with pytest.raises(UsageError, match=r"^the value has too many digits to print to 2 places$"):
+        format_fraction(Fraction(10**5000, 3), 2)
 
 
 # Capital 1 comes with probability p = 2**-120, so the skewness is

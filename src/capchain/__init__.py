@@ -16,8 +16,8 @@ is read, so `import capchain` loads no submodule and a caller pays only
 for the layers it uses: `capchain.builtin_game` loads the game module
 alone, `capchain.run_absorption` the engine.  What every layer shares
 and none owns lives here: the input limits, the usage errors, `is_int`,
-`shown`, `check_rounds`, `check_digits`, `decode_json` and `format_rows`.
-So the command line can check a horizon or a place count, catch an input
+`shown`, `check_rounds`, `check_digits`, `check_trials`, `decode_json` and
+`format_rows`, so the command line can check its counts, catch an input
 error or print a report's rows without loading the exact engine.
 """
 
@@ -109,6 +109,12 @@ def check_digits(digits: object, most: int = MAX_DIGITS) -> None:
         raise UsageError(f"digits must be an integer >= 1, got {shown(digits)}")
     if digits > most:
         raise UsageError(f"digits {shown(digits)} exceeds the limit of {most} places")
+
+
+def check_trials(trials: object) -> None:
+    """Refuse a trial count that is not an int of at least 1."""
+    if not (is_int(trials) and trials >= 1):
+        raise UsageError(f"trials must be an integer >= 1, got {shown(trials)}")
 
 
 def decode_json(text: str, error: type[UsageError] = UsageError, where: str = "") -> object:

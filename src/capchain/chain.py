@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Union
 
 from . import (  # re-exported: these have always been importable from here
     MAX_DENOMINATOR_BITS,
@@ -106,11 +106,15 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
         return {state: tuple(edges) for state, edges in grouped.items()}
 
     @cached_property
-    def _scatter_plan(self) -> tuple[int, dict[str, list[tuple[str, int, int]]]]:
-        """D, the lcm of the edge denominators, and per source (dst, prob * D, weight)."""
-        scale = lcm(*(edge.prob.denominator for edge in self.edges))
+    def _scatter_plan(self) -> Optional[tuple[int, dict[str, list[tuple[str, int, int]]]]]:
+        """D, the lcm of the edge denominators, and per source (dst, p * (D // q), weight); None past the bit limit."""
+        scale = 1
+        for edge in self.edges:
+            scale = lcm(scale, edge.prob.denominator)
+            if scale.bit_length() > MAX_DENOMINATOR_BITS:
+                return None
         return scale, {
-            state: [(edge.dst, int(edge.prob * scale), edge.weight) for edge in edges]
+            state: [(edge.dst, edge.prob.numerator * (scale // edge.prob.denominator), edge.weight) for edge in edges]
             for state, edges in self.out_edges.items()
         }
 
@@ -140,11 +144,8 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
         if not self.absorbing:
             violations.append("chain has no absorbing state")
 
-        totals: dict[str, Fraction] = {state: Fraction(0) for state in self.transient}
-        scale = 1
+        summed = dict.fromkeys(self.transient)  # the sources whose probabilities all lie in (0, 1]
         for index, edge in enumerate(self.edges):
-            if scale.bit_length() <= MAX_DENOMINATOR_BITS:  # past the limit it stays past
-                scale = lcm(scale, edge.prob.denominator)
             label = f"edge[{index}] {edge.src!r}->{edge.dst!r}"
             if not 0 < edge.prob <= 1:
                 # Never summed, and printed only when short: an input number can be too long to print.
@@ -152,7 +153,7 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 named = f"probability {edge.prob}" if short else "probability"
                 problem = "is not positive" if edge.prob <= 0 else "exceeds 1"
                 violations.append(f"{label}: {named} {problem}")
-                totals.pop(edge.src, None)
+                summed.pop(edge.src, None)
             if not is_int(edge.weight):
                 violations.append(f"{label}: weight {shown(edge.weight)} is not an integer")
             elif abs(edge.weight) > MAX_INTEGER:
@@ -163,20 +164,18 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 )
             elif edge.src not in self.transient_set:
                 violations.append(f"{label}: source state is not declared")
-            elif edge.src in totals and scale.bit_length() <= MAX_DENOMINATOR_BITS:  # finer sums cost as much as a run
-                totals[edge.src] += edge.prob
             if edge.dst not in self.transient_set and edge.dst not in self.absorbing_set:
                 violations.append(f"{label}: destination state is not declared")
-        if scale.bit_length() > MAX_DENOMINATOR_BITS:
-            violations.append(
-                f"the lcm of the edge probability denominators exceeds the "
-                f"{MAX_DENOMINATOR_BITS}-bit limit"
-            )
-            return violations  # the sums stopped short of the last edges
-        for state, total in totals.items():
-            if total != 1:
+        plan = self._scatter_plan
+        if plan is None:  # no sums: over so fine a D they cost as much as a run
+            violations.append(f"the lcm of the edge probability denominators exceeds the {MAX_DENOMINATOR_BITS}-bit limit")
+            return violations
+        scale, moves = plan
+        for state in summed:
+            total = sum(numerator for _, numerator, _ in moves[state])
+            if total != scale:
                 violations.append(
-                    f"state {state!r}: outgoing probabilities sum to {total}, expected 1"
+                    f"state {state!r}: outgoing probabilities sum to {Fraction(total, scale)}, expected 1"
                 )
         return violations
 

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from . import MAX_RECORD_BITS, UsageError, check_digits, check_rounds, decode_json, format_rows
+from . import MAX_RECORD_BITS, UsageError, check_digits, check_rounds, check_trials, decode_json, format_rows
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -294,16 +294,6 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capchain",
@@ -313,16 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sub: argparse.ArgumentParser, with_horizon: bool = True) -> None:
         sub.add_argument("input_path", nargs="?", metavar="input", help="game or chain JSON file")
-        sub.add_argument(
-            "--builtin",
-            choices=["simplified", "full"],
-            help="use a shipped board instead of a file",
-        )
+        sub.add_argument("--builtin", help="use a shipped board instead of a file")
         if with_horizon:
             sub.add_argument(
                 "-M",
                 "--rounds",
-                type=_positive_int,
+                type=int,
                 default=60,
                 help="analysis horizon in rounds (default %(default)s)",
             )
@@ -334,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--output", help="write the report to this path instead of stdout")
 
-    digits = dict(type=_positive_int, default=13, help="rendered decimal places")
+    digits = dict(type=int, default=13, help="rendered decimal places")
     analyze = subparsers.add_parser("analyze", help="exact absorption analysis")
     add_common(analyze)
     analyze.add_argument("--digits", **digits)
@@ -348,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser("compare", help="exact vs empirical at 4 standard errors")
     for sub in (sim, compare):
         add_common(sub)
-        sub.add_argument("--trials", type=_positive_int, required=True)
+        sub.add_argument("--trials", type=int, required=True)
         sub.add_argument("--seed", type=int, default=1)
     compare.add_argument("--digits", **digits)
 
@@ -363,11 +349,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        # dump-chain takes no -M, and simulate and dump-chain no --digits.
-        if hasattr(config, "rounds"):
-            check_rounds(config.rounds)
-        if hasattr(config, "digits"):
-            check_digits(config.digits)
+        # The counts a command takes, refused before any document is read.
+        for name, check in (("rounds", check_rounds), ("digits", check_digits), ("trials", check_trials)):
+            if hasattr(config, name):
+                check(getattr(config, name))
         return _COMMANDS[config.command](config)
     except UsageError as exc:
         for line in exc.problems:

@@ -221,14 +221,14 @@ def compile_game(spec: GameSpec) -> WeightedMarkovChain:
 
     from .chain import Edge, WeightedMarkovChain
 
-    prob = Fraction(1, len(spec.animals) + 1)
+    faces = len(spec.animals) + 1
     edges: list[Edge] = []
     for square, moves in spec.moves.items():
         src = str(square)
-        edges.append(Edge(src=src, dst=src, prob=prob, weight=-1))
+        edges.append(Edge(src=src, dst=src, prob=Fraction(1, faces), weight=-1))
         # Counter keeps first-landing order and counts the animals per landing.
         for (target, gain), count in Counter(moves).items():
-            edges.append(Edge(src=src, dst=str(target), prob=prob * count, weight=gain))
+            edges.append(Edge(src=src, dst=str(target), prob=Fraction(count, faces), weight=gain))
     return WeightedMarkovChain(
         transient=tuple(str(square) for square in spec.moves),
         absorbing=(str(spec.terminal_square),),

@@ -26,7 +26,7 @@ from functools import cache
 from math import sqrt
 from typing import NamedTuple, Optional
 
-from . import UsageError, is_int, shown
+from . import UsageError, check_trials, is_int, shown
 from .game import GameSpec
 
 _MASK = (1 << 64) - 1
@@ -162,8 +162,7 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
     a cap below one censors every trial.  At half the slots live or
     fewer, lanes repack into the next power of two slots.
     """
-    if not (is_int(trials) and trials >= 1):
-        raise UsageError(f"trials must be an integer >= 1, got {shown(trials)}")
+    check_trials(trials)
     for name, value in (("seed", seed), ("round_cap", round_cap)):
         if not is_int(value):
             raise UsageError(f"{name} must be an integer, got {shown(value)}")

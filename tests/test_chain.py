@@ -84,6 +84,24 @@ def test_validate_flags_probabilities_not_summing_to_one():
     assert len(violations) == 1
     assert "'1'" in violations[0]
     assert "2/3" in violations[0]
+    # A short sum, no out-edge at all, and a non-positive edge, which is flagged and not summed.
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(
+            transient=("a", "b", "c"),
+            absorbing=("end",),
+            edges=(
+                Edge("a", "end", Fraction(1, 2), 0),
+                Edge("a", "b", Fraction(1, 3), 1),
+                Edge("c", "end", Fraction(-1, 2), 0),
+                Edge("c", "a", Fraction(1, 2), 0),
+            ),
+            support=(0, 4),
+        )
+    assert excinfo.value.problems == [
+        "edge[2] 'c'->'end': probability -1/2 is not positive",
+        "state 'a': outgoing probabilities sum to 5/6, expected 1",
+        "state 'b': outgoing probabilities sum to 0, expected 1",
+    ]
 
 
 def test_validate_accepts_the_compiled_simplified_game(simplified_chain):

@@ -20,6 +20,9 @@ from capchain import (
     UsageError,
     WeightedMarkovChain,
     builtin_game,
+    check_digits,
+    check_rounds,
+    check_trials,
     compile_game,
     format_fraction,
     render_stats,
@@ -274,7 +277,8 @@ def test_capital_window_over_the_limit_is_a_usage_error(tmp_path, capsys, doc):
 # held 9,003,000 moves (865 MB) and `compile_game` made 4.5 million edges.
 # Each command refuses the board before it builds either, in a child with
 # 1.5 GB of address space, so code without the limit fails here instead of
-# exhausting memory; ru_maxrss is in KB.
+# exhausting memory.  The child reports its own peak, VmHWM in kB, which exec
+# resets: ru_maxrss would start at the high-water mark of the forking process.
 @pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--trials", "10"], ["compare", "--trials", "10"], ["dump-chain"]])
 def test_a_board_past_the_move_limit_is_a_usage_error(tmp_path, argv):
     tags = [f"t{index}" for index in range(3000)]
@@ -285,7 +289,7 @@ def test_a_board_past_the_move_limit_is_a_usage_error(tmp_path, argv):
         "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
         "from capchain.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
         "sys.exit(code)\n"
     )
     proc = run_python(measured, *argv, str(path), timeout=60)
@@ -552,20 +556,43 @@ def test_simulate_text_report(capsys):
     assert float(rows["win rate"]) == int(rows["wins"]) / 200
 
 
-def test_simulate_requires_positive_trials(capsys):
-    code, _, err = run_cli(
-        capsys, "simulate", "--builtin", "simplified", "--trials", "0"
-    )
-    assert code == EXIT_USAGE
-    assert "must be >= 1" in err
+# Each count has one owner, its check in the package root: the command line
+# prints that check's one message, with no usage banner, and refuses the count
+# before it reads any document (the input path does not exist).
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["analyze", "-M", "0"], check_rounds),
+        (["analyze", "-M", "-3"], check_rounds),
+        (["analyze", "-M", str(MAX_ROUNDS + 1)], check_rounds),
+        (["analyze", "--digits", "0"], check_digits),
+        (["analyze", "--digits", "41"], check_digits),
+        (["simulate", "--trials", "0"], check_trials),
+        (["compare", "--trials", "0"], check_trials),
+    ],
+    ids=["M-0", "M-negative", "M-over", "digits-0", "digits-over", "simulate-trials-0", "compare-trials-0"],
+)
+def test_each_count_is_refused_by_its_library_check(tmp_path, capsys, argv, check):
+    with pytest.raises(UsageError) as refusal:
+        check(int(argv[-1]))
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing.json"))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {refusal.value}\n")
 
 
-@pytest.mark.parametrize("argv", [["--trials", "x"], ["--trials", "1", "-M", "x"]])
-def test_a_non_integer_count_says_a_positive_integer_was_expected(capsys, argv):
-    code, _, err = run_cli(capsys, "simulate", "--builtin", "full", *argv)
-    assert code == EXIT_USAGE
-    assert "expected a positive integer, got 'x'" in err
-    assert "_positive_int" not in err
+@pytest.mark.parametrize(
+    "argv, flag", [(["--trials", "x"], "--trials"), (["--trials", "1", "-M", "x"], "-M/--rounds")], ids=["trials", "M"]
+)
+def test_a_non_integer_count_is_refused_by_the_parser(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "simulate", "--builtin", "full", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: ")
+    assert err.endswith(f"error: argument {flag}: invalid int value: 'x'\n")
+
+
+def test_an_unknown_board_is_refused_by_builtin_game(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--builtin", "nope")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: unknown builtin game 'nope'; expected one of ['full', 'simplified']\n"
 
 
 # compare

@@ -32,10 +32,10 @@ __version__ = "1.0.0"
 # big-int operations per live state and out-edge, on packed rows of up to a
 # window of cells whose numerators grow up to log2(D) bits a round, D being
 # the lcm of the edge probability denominators; the record keeps a row per
-# (round, absorbing state).  At M = 1000 on a 2-core machine `analyze` stays
-# within 1 s and 17 MB for the full game, 5 s and 354 MB for a random walk
-# on a 10000-cell window, and 3 s and 30 MB for a 41-cell chain with
-# D = 2^64 - 59 (CHANGES.md has the cases).
+# (round, absorbing state).  At M = 1000 on a 2-core machine `analyze` took at most 1 s and
+# 17 MB for the full game, 5 s and 558 MB for walks on a 10000-cell window, and 12 s and
+# 242 MB for 41-cell chains with D = 2^64 - 59.  Combined, these limits bound no run yet: such
+# a walk with that D on 10000 cells exhausts a 1 GB address space (README has the cases).
 MAX_WINDOW = 10_000
 MAX_ROUNDS = 1_000
 MAX_DENOMINATOR_BITS = 64

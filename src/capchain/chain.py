@@ -237,8 +237,6 @@ class AbsorptionRecord(NamedTuple):
         """
         if self.epsilon == 1:
             raise UsageError("no mass was absorbed; cannot condition on absorption")
-        if self.epsilon == 0:
-            return self
         factor = 1 / (1 - self.epsilon)
         absorbed = {key: poly.scale(factor) for key, poly in self.absorbed.items()}
         return self._replace(absorbed=absorbed, residual={}, epsilon=Fraction(0))

@@ -121,18 +121,18 @@ def _step_table(spec: GameSpec, most: int) -> tuple[list[tuple[int, int]], list[
 
 
 @cache  # simulate asks for powers of two up to LANES, each built on first use
-def _lanes(count: int) -> tuple[int, int, int, int, int, struct.Struct, struct.Struct]:
-    """Constants for `count` lanes packed into one int, 128 bits a lane.
+def _lanes(count: int, faces: int) -> tuple[int, int, int, int, int, int, struct.Struct, struct.Struct]:
+    """Constants for `count` lanes packed into one int, 128 bits a lane, spinning over `faces`.
 
     `rep` (1 in every slot), `rep` at each slot's bit 64 (where a carry
-    out of the low half lands), `rep` times the 64-bit mask and the golden
-    step, the ramp (slot i holds i golden steps) and the codecs of the
-    slots' low and high halves.
+    out of the low half lands), `rep` times the 64-bit mask, the golden
+    step and the rejection offset 2**64 mod faces, the ramp (slot i holds
+    i golden steps) and the codecs of the slots' low and high halves.
     """
     rep = int.from_bytes((b"\1" + bytes(15)) * count, "little")
     low, high = struct.Struct("<" + "Q8x" * count), struct.Struct("<" + "8xQ" * count)
     ramp = int.from_bytes(low.pack(*range(count)), "little") * _GOLDEN
-    return rep, rep << 64, rep * _MASK, rep * _GOLDEN, ramp, low, high
+    return rep, rep << 64, rep * _MASK, rep * _GOLDEN, rep * ((_MASK + 1) % faces), ramp, low, high
 
 
 def _mix_lanes(value: int, m64: int) -> int:
@@ -177,16 +177,14 @@ def simulate(spec: GameSpec, trials: int, seed: int, round_cap: int = 600) -> Si
         live = list(range(min(LANES, trials - first)))
         rows, held = [0] * len(live), [0] * len(live)  # per lane: row, chicks
         width = 1 << (len(live) - 1).bit_length()
-        rep, carries, m64, step, ramp, low, high = _lanes(width)  # lane i draws from stream first + i
-        reject = rep * (_MASK + 1 - limit)
+        rep, carries, m64, step, reject, ramp, low, high = _lanes(width, faces)  # lane i draws from stream first + i
         state = _mix_lanes((rep * ((seed + first * _GOLDEN) & _MASK) + ramp) & m64, m64)
         steps, finished = 0, []
         while live and steps < round_cap:  # every live lane has played `steps` rounds
             if 2 * len(live) <= width:
                 states = low.unpack(state.to_bytes(16 * width, "little"))
                 width = 1 << (len(live) - 1).bit_length()
-                rep, carries, m64, step, _, low, high = _lanes(width)
-                reject = rep * (_MASK + 1 - limit)
+                _, carries, m64, step, reject, _, low, high = _lanes(width, faces)
                 kept, rows, held = ([c[lane] for lane in live] for c in (states, rows, held))
                 state = int.from_bytes(low.pack(*kept, *[0] * (width - len(kept))), "little")
                 live = list(range(len(live)))

@@ -184,11 +184,9 @@ def format_fraction(value: Fraction, digits: int) -> str:
 def format_fraction_scientific(value: Fraction, digits: int) -> str:
     """Scientific-notation string with `digits` significant digits, up to MAX_FORMAT_DIGITS."""
     check_digits(digits, MAX_FORMAT_DIGITS)
-    if value == 0:
-        return "0"
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return str(_to_decimal(value))
 
 
 def _fixed(value: Union[Fraction, Decimal, None], digits: int, undefined: Optional[str] = None) -> Optional[str]:

@@ -348,7 +348,11 @@ def test_run_rejects_invalid_chains():
 def test_conditional_with_no_residual_is_the_identity():
     record = run_absorption(two_state_chain(), "t0", 1)
     assert record.epsilon == 0
-    assert record.conditional() == record
+    conditional = record.conditional()
+    assert conditional == record
+    assert conditional.epsilon == 0 and conditional.residual == {}
+    assert conditional.absorbed.keys() == record.absorbed.keys()
+    assert all(poly.texts() == record.absorbed[key].texts() for key, poly in conditional.absorbed.items())
 
 
 def test_conditional_rescales_absorbed_mass_to_one():

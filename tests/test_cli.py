@@ -154,7 +154,7 @@ def fraction_built_report(record, fmt):
     return json.dumps(report, indent=2) + "\n"
 
 
-# All mass is absorbed by round 2, so epsilon is 0 and conditional() returns the record itself.
+# All mass is absorbed by round 2, so epsilon is 0 and conditional() scales each row by 1.
 CERTAIN_CHAIN = WeightedMarkovChain(
     ("t0", "t1"), ("a0",), (Edge("t0", "t1", Fraction(1), 1), Edge("t1", "a0", Fraction(1), 2)), (0, 3)
 )

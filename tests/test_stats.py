@@ -306,7 +306,8 @@ def test_a_large_skewness_keeps_its_places():
 
 
 def test_scientific_format():
-    assert format_fraction_scientific(Fraction(0), 13) == "0"
+    for digits in (1, 13, 40):
+        assert format_fraction_scientific(Fraction(0), digits) == "0"
     assert format_fraction_scientific(Fraction(1, 3) / 10**24, 13) == "3.333333333333E-25"
     assert format_fraction_scientific(Fraction(1, 1000), 13) == "0.001"
 

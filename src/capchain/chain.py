@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from typing import TYPE_CHECKING, Dict, Iterable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence
 
 from . import (  # re-exported: these have always been importable from here
     MAX_DENOMINATOR_BITS,
@@ -59,17 +59,34 @@ class Edge(NamedTuple):
 class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing edges support")):
     """A sound chain: constructing an unsound one raises InvalidChainError.
 
-    Fields: `transient` and `absorbing` state ids, `edges` (each prob made
-    a Fraction) and the capital window `support` as (lo, hi).
+    Fields, each a list or a tuple: `transient` and `absorbing` state ids,
+    `edges` (each prob made a Fraction) and the capital window `support`
+    as (lo, hi).  A probability is an exact number: an int, a Fraction or
+    a "p/q" string, never a float or a bool.
     """
 
     def __new__(
-        cls, transient: Iterable[str], absorbing: Iterable[str], edges: Iterable[Edge], support: tuple[int, int]
+        cls, transient: Sequence[str], absorbing: Sequence[str], edges: Sequence[Edge], support: tuple[int, int]
     ) -> WeightedMarkovChain:
-        exact, unreadable = [], []
-        for index, (src, dst, prob, weight) in enumerate(edges):
+        # Each field's shape first, with no field expanded (a `str` in a list's place is never read
+        # id by id), then each probability read; every problem here is reported, none echoes a field.
+        problems = []
+        for name, ids in (("transient", transient), ("absorbing", absorbing)):
+            if not isinstance(ids, (list, tuple)):
+                problems.append(f"{name!r} must be a list of state ids")
+        if not isinstance(edges, (list, tuple)):
+            problems.append("'edges' must be a list")
+            edges = ()
+        exact = []
+        for index, edge in enumerate(edges):
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 4):
+                problems.append(f"edge[{index}]: must have four fields (src, dst, prob, weight)")
+                continue
+            src, dst, prob, weight = edge
             problem = None
-            if isinstance(prob, str) and ("e" in prob or "E" in prob):  # Fraction("1e-9999999") builds 10**9999999
+            if isinstance(prob, (bool, float)):  # a chain is exact: 0.1 would read as 3602879701896397/2**55
+                problem = f'probability {shown(prob)} is not exact: give an integer or a "p/q" string'
+            elif isinstance(prob, str) and ("e" in prob or "E" in prob):  # Fraction("1e-9999999") builds 10**9999999
                 problem = 'probability text may not contain "e" or "E" (exponent notation)'
             else:
                 try:
@@ -77,10 +94,12 @@ class WeightedMarkovChain(namedtuple("WeightedMarkovChain", "transient absorbing
                 except (TypeError, ValueError, ArithmeticError):  # not a number, or "1/0"
                     problem = f"probability {shown(prob)} is not a number"
             if problem:
-                unreadable.append(f"edge[{index}] {shown(src)}->{shown(dst)}: {problem}")
+                problems.append(f"edge[{index}] {shown(src)}->{shown(dst)}: {problem}")
             exact.append(Edge(src, dst, prob, weight))
-        if unreadable:  # `validate` compares probabilities, so these are all it can be told
-            raise InvalidChainError(unreadable)
+        if not (isinstance(support, (list, tuple)) and len(support) == 2):
+            problems.append("capital support must be a (min, max) pair")
+        if problems:  # `validate` reads shaped fields and compares probabilities, so these are all it can be told
+            raise InvalidChainError(problems)
         self = super().__new__(cls, tuple(transient), tuple(absorbing), tuple(exact), tuple(support))
         violations = self.validate()
         if violations:
@@ -291,57 +310,36 @@ def dumps_chain(chain: WeightedMarkovChain) -> str:
     return json.dumps(chain_to_json_dict(chain), indent=2) + "\n"
 
 
-def _parse_prob(value: object, where: str) -> Union[int, str]:
-    """A document's probability, an int or a "p/q" string, for the constructor to read."""
-    if isinstance(value, (bool, float)):  # refused on purpose: a chain file is an exact artifact
-        raise ChainFormatError(f'{where}: probability must be an exact "p/q" string or integer, got {value!r}')
-    if not isinstance(value, (int, str)):
-        raise ChainFormatError(f"{where}: probability has unsupported type {type(value).__name__}")
-    return value
-
-
 def chain_from_json_dict(data: object) -> WeightedMarkovChain:
     """Decode the plain-dict chain form into a sound chain.
 
-    This checks only the JSON shape: an object with the four keys, lists
-    of states and edges, a support object with 'min' and 'max', each edge
-    an object with its four keys and a probability that is an int or a
-    string, never a float.  It raises ChainFormatError on the first shape
-    problem, before any chain is built.  The constructor owns every field
-    rule (reading each probability, string state ids, 64-bit integer
-    weights and support bounds, ...) and raises InvalidChainError with
-    every broken one.  Unknown keys (for example an advisory "start") are
-    ignored.
+    This checks only what the JSON encoding adds: an object with the four
+    keys, a support object with 'min' and 'max', and each edge an object
+    with its four keys.  It raises ChainFormatError on the first such
+    problem, before any chain is built.  The constructor owns every rule
+    of the fields themselves (lists of string state ids and of edges, each
+    probability an exact number, 64-bit integer weights and support
+    bounds, ...) and raises InvalidChainError with every broken one.
+    Unknown keys (for example an advisory "start") are ignored.
     """
     if not isinstance(data, dict):
         raise ChainFormatError("chain document must be a JSON object")
     for key in WeightedMarkovChain._fields:
         if key not in data:
             raise ChainFormatError(f"chain document is missing {key!r}")
-    for key in ("transient", "absorbing"):
-        if not isinstance(data[key], list):
-            raise ChainFormatError(f"{key!r} must be a list of state ids")
     support = data["support"]
     if not isinstance(support, dict) or not {"min", "max"} <= support.keys():
         raise ChainFormatError("'support' must be an object with integer 'min' and 'max'")
-    raw_edges = data["edges"]
-    if not isinstance(raw_edges, list):
-        raise ChainFormatError("'edges' must be a list")
-    edges = []
-    for index, item in enumerate(raw_edges):
-        where = f"edges[{index}]"
-        if not isinstance(item, dict):
-            raise ChainFormatError(f"{where}: must be an object")
-        for key in Edge._fields:
-            if key not in item:
-                raise ChainFormatError(f"{where}: missing {key!r}")
-        edges.append(Edge(item["src"], item["dst"], _parse_prob(item["prob"], f"{where}.prob"), item["weight"]))
-    return WeightedMarkovChain(
-        transient=data["transient"],
-        absorbing=data["absorbing"],
-        edges=tuple(edges),
-        support=(support["min"], support["max"]),
-    )
+    edges = data["edges"]
+    if isinstance(edges, list):  # anything else is the constructor's to refuse
+        for index, item in enumerate(edges):
+            if not isinstance(item, dict):
+                raise ChainFormatError(f"edges[{index}]: must be an object")
+            for key in Edge._fields:
+                if key not in item:
+                    raise ChainFormatError(f"edges[{index}]: missing {key!r}")
+        edges = [Edge(*(item[key] for key in Edge._fields)) for item in edges]
+    return WeightedMarkovChain(data["transient"], data["absorbing"], edges, (support["min"], support["max"]))
 
 
 def loads_chain(text: str) -> WeightedMarkovChain:

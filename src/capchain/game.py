@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence, Union
 
 from . import MAX_MOVES, GameSpecError, UsageError, decode_json, is_int, shown
 
@@ -44,12 +44,24 @@ class GameSpec(namedtuple("GameSpec", "animals squares blue win_threshold")):
     """
 
     def __new__(
-        cls, animals: Iterable[str], squares: Iterable[str], blue: Iterable[int], win_threshold: int
+        cls, animals: Sequence[str], squares: Sequence[str], blue: Collection[int], win_threshold: int
     ) -> GameSpec:
-        try:
-            blue = frozenset(blue)
-        except TypeError:  # an unhashable entry, a list say
-            raise GameSpecError("blue: every entry must be an integer square number") from None
+        # Each field's shape first, with no field expanded (a `str` in a list's place is never read
+        # tag by tag); every problem here is reported, in the game document's terms, none echoing a field.
+        problems = []
+        if not isinstance(animals, (list, tuple)):
+            problems.append("animals: must be a list of tag strings")
+        if not isinstance(squares, (list, tuple)):
+            problems.append("board: must be a list of square labels or one comma-separated string")
+        if not isinstance(blue, (list, tuple, set, frozenset)):
+            problems.append("blue: must be a list of square numbers")
+        else:
+            try:
+                blue = frozenset(blue)
+            except TypeError:  # an unhashable entry, a list say
+                problems.append("blue: every entry must be an integer square number")
+        if problems:
+            raise GameSpecError(problems)
         self = super().__new__(cls, tuple(animals), tuple(squares), blue, win_threshold)
         diagnostics = self.validate()
         if diagnostics:
@@ -138,36 +150,24 @@ def parse_game_spec(source: Union[str, Mapping]) -> GameSpec:
     string.  The terminal "*" may be left implicit (it is appended) or
     written explicitly as the last entry.  `win_threshold` is optional:
     it must equal the number of playable squares, the board length
-    without the terminal, and defaults to it.
+    without the terminal, and defaults to it.  `blue` defaults to none.
 
-    This checks only the JSON shape: an object whose `animals`, `board`
-    and `blue` are lists (or the board one string), raising GameSpecError
-    with each field of the wrong shape.  `GameSpec` owns every field rule
-    (string tags and labels, integer blue squares and threshold, ...) and
-    raises GameSpecError carrying every diagnostic it finds.
+    This checks only what the JSON encoding adds: text that parses, and a
+    document that is an object.  `GameSpec` owns every rule of the fields
+    themselves (lists of string tags and labels, integer blue squares and
+    threshold, ...) and raises GameSpecError carrying every diagnostic.
     """
     data = decode_json(source, GameSpecError) if isinstance(source, str) else source
     if not isinstance(data, Mapping):
         raise GameSpecError(["game document must be a JSON object"])
-
-    shape: list[str] = []
-    animals = data.get("animals")
-    if not isinstance(animals, list):
-        shape.append("animals: must be a list of tag strings")
     board = data.get("board")
     if isinstance(board, str):
         board = [entry.strip() for entry in board.split(",")]
-    if not isinstance(board, list):
-        shape.append("board: must be a list of square labels or one comma-separated string")
-    blue = data.get("blue", [])
-    if not isinstance(blue, list):
-        shape.append("blue: must be a list of square numbers")
-    if shape:
-        raise GameSpecError(shape)
-    if TERMINAL not in board:
-        board = board + [TERMINAL]
-    threshold = data.get("win_threshold", len(board) - 1)
-    return GameSpec(animals=animals, squares=board, blue=blue, win_threshold=threshold)
+    threshold = data.get("win_threshold")
+    if isinstance(board, (list, tuple)):  # anything else is the constructor's to refuse
+        board = board if TERMINAL in board else [*board, TERMINAL]
+        threshold = data.get("win_threshold", len(board) - 1)
+    return GameSpec(animals=data.get("animals"), squares=board, blue=data.get("blue", []), win_threshold=threshold)
 
 
 SIMPLIFIED_GAME_JSON = """\

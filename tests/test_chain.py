@@ -50,6 +50,7 @@ CHAIN_DOCUMENT = {
 
 
 EXPONENT_REFUSAL = 'probability text may not contain "e" or "E" (exponent notation)'
+NOT_EXACT = 'is not exact: give an integer or a "p/q" string'
 
 
 def mono(exponent, coeff, lo=0, hi=8):
@@ -215,6 +216,44 @@ def test_a_probability_in_exponent_notation_is_a_violation():
     with pytest.raises(InvalidChainError) as excinfo:
         loads_chain(json.dumps(document))
     assert excinfo.value.problems == [f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}"]
+
+
+# A field of the wrong shape raised TypeError or a plain ValueError from unpacking, a `str` in a
+# list's place was read id by id, and a float or bool probability was read as a number.  Every
+# such problem is reported at once, and none echoes the field it refuses.
+ONE_EDGE = [Edge("a", "z", 1, 0)]
+
+
+@pytest.mark.parametrize(
+    "fields, problems",
+    [
+        (("ab", ["z"], ONE_EDGE, (0, 1)), ["'transient' must be a list of state ids"]),
+        ((["a"], "z", ONE_EDGE, (0, 1)), ["'absorbing' must be a list of state ids"]),
+        ((["a"], ["z"], 5, (0, 1)), ["'edges' must be a list"]),
+        ((["a"], ["z"], ONE_EDGE, (0, 1, 2)), ["capital support must be a (min, max) pair"]),
+        ((["a"], ["z"], ONE_EDGE, "01"), ["capital support must be a (min, max) pair"]),
+        ((["a"], ["z"], [("a", "z", 1)], (0, 1)), ["edge[0]: must have four fields (src, dst, prob, weight)"]),
+        ((["a"], ["z"], [Edge("a", "z", True, 0)], (0, 1)), [f"edge[0] 'a'->'z': probability True {NOT_EXACT}"]),
+        ((["a"], ["z"], [Edge("a", "z", 0.1, 0)], (0, 1)), [f"edge[0] 'a'->'z': probability 0.1 {NOT_EXACT}"]),
+        (
+            ("a" * 10**6, ("z",), [{"src": "a"}, Edge("a", "z", 0.5, 0)], None),
+            [
+                "'transient' must be a list of state ids",
+                "edge[0]: must have four fields (src, dst, prob, weight)",
+                f"edge[1] 'a'->'z': probability 0.5 {NOT_EXACT}",
+                "capital support must be a (min, max) pair",
+            ],
+        ),
+    ],
+    ids=[
+        "str-transient", "str-absorbing", "int-edges", "triple-support", "str-support", "three-field-edge",
+        "bool-prob", "float-prob", "every-problem",
+    ],
+)
+def test_a_field_of_the_wrong_shape_is_a_violation(fields, problems):
+    with pytest.raises(InvalidChainError) as excinfo:
+        WeightedMarkovChain(*fields)
+    assert excinfo.value.problems == problems
 
 
 # A weight or window bound past 64 bits was accepted, and then `dumps_chain`
@@ -484,11 +523,14 @@ def test_probabilities_serialize_as_fraction_strings(simplified_chain):
     assert "0.3" not in text
 
 
+# A chain file is an exact artifact, and so is a chain built in code: the constructor refuses a
+# float (0.1 would read as 3602879701896397/2**55) or a bool (True would read as 1), wherever it came from.
 def test_float_probabilities_are_refused():
     data = chain_to_json_dict(two_state_chain())
     data["edges"][0]["prob"] = 0.5
-    with pytest.raises(ChainFormatError, match="exact"):
+    with pytest.raises(InvalidChainError) as excinfo:
         loads_chain(json.dumps(data))
+    assert excinfo.value.problems == [f"edge[0] 't0'->'a0': probability 0.5 {NOT_EXACT}"]
 
 
 @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" * 5000], ids=["deep", "long-int"])
@@ -506,7 +548,8 @@ def test_missing_fields_are_refused(tmp_path, capsys):
     assert analyze_refusal(tmp_path, capsys, text) == "error: edges[0]: missing 'weight'\n"
 
 
-# The decoder checks the shape; the constructor owns every field rule (absorbing, src, weight, prob).
+# The decoder checks only what JSON adds (the support object, each edge an object with its keys);
+# the constructor owns every rule of the fields themselves (their shapes, ids, weights, probabilities).
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -518,14 +561,15 @@ def test_missing_fields_are_refused(tmp_path, capsys):
         ({"src": 1}, "state id 1 is not a string"),
         ({"weight": "1"}, "edge[0] 'a'->'z': weight '1' is not an integer"),
         ({"prob": "1/0"}, "edge[0] 'a'->'z': probability '1/0' is not a number"),
-        ({"prob": [1]}, "edges[0].prob: probability has unsupported type list"),
+        ({"prob": [1]}, "edge[0] 'a'->'z': probability [1] is not a number"),
+        ({"prob": True}, f"edge[0] 'a'->'z': probability True {NOT_EXACT}"),
         # Refused by the constructor before `Fraction` builds the power of ten, and not echoed.
         ({"prob": "1e-1000000"}, f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}"),
         ({"prob": "1E5"}, f"edge[0] 'a'->'z': {EXPONENT_REFUSAL}"),
     ],
     ids=[
         "transient", "absorbing", "support", "edges", "edge", "src", "weight", "prob-text", "prob-type",
-        "prob-exponent", "prob-exponent-upper",
+        "prob-bool", "prob-exponent", "prob-exponent-upper",
     ],
 )
 def test_misshapen_chain_documents_are_refused(tmp_path, capsys, change, message):
@@ -534,7 +578,7 @@ def test_misshapen_chain_documents_are_refused(tmp_path, capsys, change, message
     if change.keys() <= edge.keys():
         change = {"edges": [{**edge, **change}]}
     document = {**CHAIN_DOCUMENT, **change}
-    error = InvalidChainError if message.startswith(("state id", "edge[")) else ChainFormatError
+    error = ChainFormatError if message.startswith(("'support'", "edges[")) else InvalidChainError
     with pytest.raises(error) as excinfo:
         chain_from_json_dict(document)
     assert str(excinfo.value) == message

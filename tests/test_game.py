@@ -103,7 +103,8 @@ def test_a_board_past_the_move_limit_is_refused():
     ]
 
 
-# parse_game_spec's refusals of a field of the wrong shape.
+# GameSpec's refusals of a field of the wrong shape, in the document's terms: parse_game_spec
+# passes each field on as the document gives it (the board split and ended), so it gets them too.
 ANIMALS_SHAPE = "animals: must be a list of tag strings"
 BOARD_SHAPE = "board: must be a list of square labels or one comma-separated string"
 BLUE_SHAPE = "blue: must be a list of square numbers"
@@ -157,7 +158,8 @@ def test_unsound_game_documents_are_refused(tmp_path, capsys, text, diagnostics)
 
 
 # A tag or a label must be a string and a blue square an integer; before, an unhashable one raised
-# TypeError from a set lookup.  A game document breaking the same rule gets the same diagnostic.
+# TypeError from a set lookup.  The animals and the board must be lists: before, a string was read
+# tag by tag and an int raised TypeError.  A game document breaking the same rule gets the same diagnostic.
 @pytest.mark.parametrize(
     "change, diagnostics",
     [
@@ -165,8 +167,15 @@ def test_unsound_game_documents_are_refused(tmp_path, capsys, text, diagnostics)
         ({"animals": (5, "S")}, ["animals: 5 is not a usable tag"]),
         ({"squares": ("0", ["a"], "S", "*")}, ["square 2: unknown animal tag ['a']"]),
         ({"blue": ([2],)}, ["blue: every entry must be an integer square number"]),
+        ({"animals": "S"}, [ANIMALS_SHAPE]),
+        ({"animals": 5}, [ANIMALS_SHAPE]),
+        ({"squares": 5}, [BOARD_SHAPE]),
+        ({"animals": "S", "squares": 5, "blue": "2"}, [ANIMALS_SHAPE, BOARD_SHAPE, BLUE_SHAPE]),
     ],
-    ids=["unhashable-tag", "int-tag", "unhashable-label", "unhashable-blue"],
+    ids=[
+        "unhashable-tag", "int-tag", "unhashable-label", "unhashable-blue", "str-animals", "int-animals",
+        "int-squares", "every-shape",
+    ],
 )
 def test_a_field_of_the_wrong_type_is_a_diagnostic(tmp_path, capsys, change, diagnostics):
     fields = {"animals": ("S",), "squares": ("0", "0", "S", "*"), "blue": (), "win_threshold": 3, **change}

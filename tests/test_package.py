@@ -29,6 +29,7 @@ ENTRY_POINTS = {
     "import capchain.cli": ("import capchain.cli\n", ["dataclasses", "inspect"]),
     "GameSpecError": ("import capchain\ncapchain.GameSpecError\n", modules(*SUBMODULES)),
     "UsageError": ("import capchain\ncapchain.UsageError\n", modules(*SUBMODULES)),
+    "dir(capchain)": ("import capchain\ndir(capchain)\n", modules(*SUBMODULES)),
     "builtin_game": (
         "import capchain\ncapchain.builtin_game('full')\n",
         modules("chain", "cli", "poly", "simulator", "stats"),
@@ -73,9 +74,11 @@ def test_each_exported_name_is_its_home_module_object():
     assert capchain.__version__ == "1.0.0"
 
 
+# Before any name is read (a fresh interpreter, as in the "dir(capchain)" probe) and after.
 def test_dir_lists_every_exported_name_before_it_is_read():
     proc = run_python("import capchain\nprint(sorted(set(capchain.__all__) - set(dir(capchain))))\n")
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert set(capchain.__all__) <= set(dir(capchain))
 
 
 def test_submodules_import_from_the_package():

@@ -7,10 +7,22 @@ This module is self-contained so it can be run on its own:
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capchain import builtin_game, run_absorption, simulate, summarize, umbra_step
+from capchain import (
+    Edge,
+    GameSpec,
+    UsageError,
+    WeightedMarkovChain,
+    builtin_game,
+    chain_from_json_dict,
+    parse_game_spec,
+    run_absorption,
+    simulate,
+    summarize,
+    umbra_step,
+)
 from capchain.poly import CappedPolynomial
 from capchain.simulator import LANES
 
@@ -124,3 +136,75 @@ def test_clamp_is_idempotent_at_the_boundary():
     assert onto_top == clamped_shift(onto_top, 3)
     onto_floor = clamped_shift(poly, -10)
     assert onto_floor == clamped_shift(onto_floor, -5)
+
+
+# Any JSON value, and any plain Python value a caller might pass (tuples too), kept small.
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner) | st.dictionaries(SCALARS, inner, max_size=3),
+    max_leaves=6,
+)
+# Each field is anything at all, or near a sound value so that the later checks run too.
+NAMES = st.sampled_from(["a", "z", "0", "*", "S"])
+ID, NUMBER = VALUES | NAMES, VALUES | st.sampled_from([-1, 0, 1, 2, "1/2", Fraction(1, 3)])
+IDS = VALUES | st.lists(ID, max_size=3)
+EDGES = VALUES | st.lists(VALUES | st.builds(Edge, ID, ID, NUMBER, NUMBER), max_size=3)
+DOCUMENT_ID, DOCUMENT_NUMBER = JSON_VALUES | NAMES, JSON_VALUES | st.sampled_from([-1, 0, 1, 2, "1/2"])
+DOCUMENT_IDS = JSON_VALUES | st.lists(DOCUMENT_ID, max_size=3)
+EDGE_DOCUMENT = st.fixed_dictionaries(
+    {"src": DOCUMENT_ID, "dst": DOCUMENT_ID, "prob": DOCUMENT_NUMBER, "weight": DOCUMENT_NUMBER}
+)
+CHAIN_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {
+        "transient": DOCUMENT_IDS,
+        "absorbing": DOCUMENT_IDS,
+        "edges": JSON_VALUES | st.lists(JSON_VALUES | EDGE_DOCUMENT, max_size=3),
+        "support": JSON_VALUES | st.fixed_dictionaries({"min": DOCUMENT_NUMBER, "max": DOCUMENT_NUMBER}),
+    }
+)
+GAME_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {"animals": DOCUMENT_IDS, "board": DOCUMENT_IDS | st.text(",0S*", max_size=6), "blue": DOCUMENT_IDS},
+    optional={"win_threshold": DOCUMENT_NUMBER},
+)
+
+
+def builds_or_refuses(call, *args):
+    """`call(*args)` builds, or refuses with a UsageError; any other exception fails the test."""
+    try:
+        call(*args)
+    except UsageError:
+        pass
+
+
+# A constructor or a decoder handed a field of any type reports it: a TypeError, a plain
+# ValueError or an AttributeError is a bug.  (`GameSpec(5, ...)` raised TypeError, and a
+# `str` of animals was read tag by tag.)
+@settings(deadline=None, max_examples=300)
+@given(IDS, IDS, EDGES, VALUES | st.tuples(NUMBER, NUMBER))
+@example(["a"], ["z"], [Edge("a", "z", 1, 0)], (0, 1))  # sound, so the build path runs too
+def test_the_chain_constructor_builds_or_refuses(transient, absorbing, edges, support):
+    builds_or_refuses(WeightedMarkovChain, transient, absorbing, edges, support)
+
+
+@settings(deadline=None, max_examples=300)
+@given(IDS, IDS, IDS | st.frozensets(st.integers(-1, 4)), NUMBER)
+@example(["S"], ["0", "S", "*"], [2], 2)
+def test_the_game_constructor_builds_or_refuses(animals, squares, blue, win_threshold):
+    builds_or_refuses(GameSpec, animals, squares, blue, win_threshold)
+
+
+@settings(deadline=None, max_examples=300)
+@given(CHAIN_DOCUMENTS, GAME_DOCUMENTS)
+@example(
+    {"transient": ["a"], "absorbing": ["z"], "edges": [{"src": "a", "dst": "z", "prob": "1", "weight": 0}],
+     "support": {"min": 0, "max": 1}},
+    {"animals": ["S"], "board": "0,S"},
+)
+def test_the_decoders_build_or_refuse(chain_document, game_document):
+    builds_or_refuses(chain_from_json_dict, chain_document)
+    builds_or_refuses(parse_game_spec, game_document)
